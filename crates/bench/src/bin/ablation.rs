@@ -76,7 +76,6 @@ fn run_point(args: &cli::Args, proto: Proto, loss: f64, pim: PimConfig) -> (u64,
                 seed: par::mix(args.seed, 1, trial),
                 link_loss: loss,
                 pim,
-                threads: 1,
                 profile: false,
                 ..SimOptions::default()
             },
@@ -93,8 +92,11 @@ fn run_point(args: &cli::Args, proto: Proto, loss: f64, pim: PimConfig) -> (u64,
     (delivered, expected, ctrl)
 }
 
+/// The flags this binary accepts.
+const USAGE: &str = "usage: ablation [--seed N] [--trials N] [--quick] [--threads N]";
+
 fn main() {
-    let args = cli::parse(8);
+    let args = cli::parse(USAGE, 8);
     println!("# Ablation 1 (footnote 4): soft state (PIM-shared) vs explicit acks (CBT)");
     println!(
         "# under link loss. {NODES}-node internets, {MEMBERS} members/2 senders, {PACKETS} pkts,"

@@ -22,8 +22,11 @@ use wire::Group;
 const DOMAIN_SIZE: usize = 6;
 const PACKETS: u64 = 12;
 
+/// The flags this binary accepts.
+const USAGE: &str = "usage: fig1 [--seed N] [--trials N] [--quick]";
+
 fn main() {
-    let args = cli::parse(1);
+    let args = cli::parse(USAGE, 1);
     let mut rng = StdRng::seed_from_u64(args.seed);
     let (g, members, backbone_rp) = three_domains(DOMAIN_SIZE, &mut rng);
     println!(

@@ -97,8 +97,12 @@ fn core_search_comparison(seed: u64) -> (f64, f64) {
     (exhaustive_ms / probes as f64, pruned_ms / probes as f64)
 }
 
+/// The flags this binary accepts.
+const USAGE: &str =
+    "usage: fig2a [--seed N] [--trials N] [--quick] [--smoke] [--threads N] [--json PATH]";
+
 fn main() {
-    let args = cli::parse_smoke(500, 24);
+    let args = cli::parse_smoke(USAGE, 500, 24);
     println!("# Figure 2(a): max-delay ratio, optimal center-based tree / shortest-path trees");
     println!(
         "# {NODES}-node random graphs, {MEMBERS}-member groups, {} graphs per degree, seed {}",

@@ -75,8 +75,12 @@ fn sweep(args: &cli::Args, threads: usize, groups: usize) -> Vec<String> {
         .collect()
 }
 
+/// The flags this binary accepts.
+const USAGE: &str =
+    "usage: fig2b [--seed N] [--trials N] [--quick] [--smoke] [--threads N] [--groups N] [--json PATH]";
+
 fn main() {
-    let args = cli::parse_smoke(500, 3);
+    let args = cli::parse_smoke(USAGE, 500, 3);
     let groups = args.groups.unwrap_or(if args.smoke { 60 } else { 300 });
     println!("# Figure 2(b): max traffic flows on any link, SPT vs center-based tree");
     println!(

@@ -53,8 +53,11 @@ const CONGESTED_RATE: u64 = 4;
 /// `--congestion`: transmit-queue bound in bytes.
 const CONGESTED_QUEUE: u64 = 96;
 
+/// The flags this binary accepts.
+const USAGE: &str = "usage: overhead [--seed N] [--trials N] [--quick] [--congestion]";
+
 fn main() {
-    let args = cli::parse(10);
+    let args = cli::parse(USAGE, 10);
     let capacity = if args.congestion {
         LinkCapacity {
             bytes_per_tick: CONGESTED_RATE,

@@ -13,17 +13,15 @@
 //!    thousands of times.
 //! 3. **Node-count scaling sweep**: the same PIM workload over Waxman
 //!    internets of growing size (default 20/50/100/200 routers), the
-//!    wall-clock-vs-node-count table that tracks how the region-
-//!    partitioned event core scales with topology size. Each point also
-//!    reports how many regions the auto-partitioner produced at the
-//!    requested `--threads`.
+//!    wall-clock-vs-node-count table that tracks how the event core
+//!    scales with topology size, with the largest point's deliver /
+//!    timer / stale profile.
 //! 4. **Hierarchical scale sweep**: PIM over backbone+stub-domain
 //!    internets (500/1000/2000 routers) with one aggregate
 //!    [`igmp::PopulationNode`] member site per domain, plus a membership
 //!    sweep (10³…10⁶ total members at 1000 routers). Reports state and
-//!    control overhead per router and per-event cost; each row's
-//!    reception fingerprint is byte-identical across `--threads`, and
-//!    the world is partitioned along domain boundaries.
+//!    control overhead per router and per-event cost, plus a
+//!    deterministic reception fingerprint per row.
 //! 5. **Congestion sweep** (`--congestion`): the end-to-end PIM workload
 //!    with every link capped at a shrinking per-tick byte rate and a
 //!    bounded transmit queue — the graceful-degradation curve. Reports
@@ -32,9 +30,9 @@
 //!    no-starvation claim in bench form.
 //!
 //! Run: `cargo run -p bench --release --bin simbench [--trials N]
-//! [--seed N] [--smoke] [--threads N] [--nodes N,N,...] [--hier N,N,...]
+//! [--seed N] [--smoke] [--nodes N,N,...] [--hier N,N,...]
 //! [--members N,N,...] [--congestion] [--json PATH]`
-//! (`--trials` = LAN packets).
+//! (`--trials` = LAN packets). Every run is one world on one thread.
 
 use bench::{cli, perf, run_protocol_sim_hier, run_protocol_sim_opts, Proto, SimOptions, Workload};
 use graph::gen::{
@@ -156,7 +154,7 @@ fn lan_fanout(seed: u64, packets: u64, payload: usize) -> (u64, u64, f64) {
 }
 
 /// One end-to-end PIM source-tree run; returns (deliveries, wall ms).
-fn protocol_run(seed: u64, threads: usize) -> (u64, f64) {
+fn protocol_run(seed: u64) -> (u64, f64) {
     let mut rng = StdRng::seed_from_u64(par::mix(seed, 2, 0));
     let g = random_connected(
         &RandomGraphParams {
@@ -184,7 +182,6 @@ fn protocol_run(seed: u64, threads: usize) -> (u64, f64) {
                 seed: par::mix(seed, 3, 0),
                 link_loss: 0.0,
                 pim: PimConfig::default(),
-                threads,
                 profile: false,
                 ..SimOptions::default()
             },
@@ -216,9 +213,8 @@ struct CongestionRow {
 /// router-router link capped at a sweep of per-tick rates: the graceful-
 /// degradation curve. Deliveries fall and tail drops rise as the cap
 /// tightens, while the prioritized control plane keeps the tree alive
-/// (`dropc` stays 0). The reception fingerprint per row is deterministic
-/// and byte-identical across `--threads`.
-fn congestion_sweep(seed: u64, threads: usize) -> Vec<CongestionRow> {
+/// (`dropc` stays 0). The reception fingerprint per row is deterministic.
+fn congestion_sweep(seed: u64) -> Vec<CongestionRow> {
     let mut rng = StdRng::seed_from_u64(par::mix(seed, 2, 0));
     let g = random_connected(
         &RandomGraphParams {
@@ -257,7 +253,6 @@ fn congestion_sweep(seed: u64, threads: usize) -> Vec<CongestionRow> {
                     &SimOptions {
                         packets_per_sender: 40,
                         seed: par::mix(seed, 13, rate),
-                        threads,
                         capacity,
                         ..SimOptions::default()
                     },
@@ -284,7 +279,6 @@ struct SweepRow {
     nodes: usize,
     deliveries: u64,
     events: u64,
-    regions: usize,
     wall_ms: f64,
     /// Event-loop time alone (`World::run_until`), excluding topology /
     /// oracle / world construction — the honest per-event denominator.
@@ -299,12 +293,11 @@ impl SweepRow {
 }
 
 /// PIM source-tree runs over Waxman internets of growing size: the
-/// wall-clock-vs-node-count table, each point profiled per region ×
-/// event kind so the sweep says *which* phase bends as the topology
-/// grows. Membership scales with the network (one member per ~5
+/// wall-clock-vs-node-count table, each point profiled per event kind
+/// so the sweep says *which* phase bends as the topology grows. Membership scales with the network (one member per ~5
 /// routers, 2 senders) so larger points do proportionally more protocol
 /// work, not just more idle topology.
-fn node_sweep(sizes: &[usize], seed: u64, threads: usize) -> Vec<SweepRow> {
+fn node_sweep(sizes: &[usize], seed: u64) -> Vec<SweepRow> {
     sizes
         .iter()
         .map(|&nodes| {
@@ -334,7 +327,6 @@ fn node_sweep(sizes: &[usize], seed: u64, threads: usize) -> Vec<SweepRow> {
                         seed: par::mix(seed, 5, nodes as u64),
                         link_loss: 0.0,
                         pim: PimConfig::default(),
-                        threads,
                         profile: true,
                         ..SimOptions::default()
                     },
@@ -344,7 +336,6 @@ fn node_sweep(sizes: &[usize], seed: u64, threads: usize) -> Vec<SweepRow> {
                 nodes,
                 deliveries: r.deliveries,
                 events: r.events_dispatched,
-                regions: r.regions,
                 wall_ms,
                 run_ms: r.run_ms,
                 profile: r.profile,
@@ -363,7 +354,6 @@ struct HierRow {
     events: u64,
     state_entries: usize,
     control_pkts: u64,
-    regions: usize,
     wall_ms: f64,
     run_ms: f64,
     fingerprint: u64,
@@ -379,7 +369,7 @@ impl HierRow {
     }
 
     /// The deterministic content of the row, greppable by the CI gate's
-    /// `--threads 1` vs `4` diff (the line contains "fingerprint").
+    /// golden diff (the line contains "fingerprint").
     fn det_line(&self) -> String {
         format!(
             "hier_fingerprint routers={} members={} deliveries={} events={} \
@@ -414,7 +404,7 @@ fn hier_params(routers: usize) -> HierParams {
 
 /// One PIM run over a hierarchical internet with `total_members` aggregate
 /// members spread over one [`igmp::PopulationNode`] site per stub domain.
-fn hier_run(routers: usize, total_members: u64, seed: u64, threads: usize) -> HierRow {
+fn hier_run(routers: usize, total_members: u64, seed: u64) -> HierRow {
     let params = hier_params(routers);
     let mut rng = StdRng::seed_from_u64(par::mix(seed, 6, routers as u64 ^ total_members));
     let h = hierarchical(&params, &mut rng);
@@ -439,7 +429,6 @@ fn hier_run(routers: usize, total_members: u64, seed: u64, threads: usize) -> Hi
             &SimOptions {
                 packets_per_sender: 30,
                 seed: par::mix(seed, 7, routers as u64 ^ total_members),
-                threads,
                 profile: true,
                 ..SimOptions::default()
             },
@@ -454,7 +443,6 @@ fn hier_run(routers: usize, total_members: u64, seed: u64, threads: usize) -> Hi
         events: r.events_dispatched,
         state_entries: r.state_entries,
         control_pkts: r.control_pkts,
-        regions: r.regions,
         wall_ms,
         run_ms: r.run_ms,
         fingerprint: r.reception_fingerprint,
@@ -464,7 +452,7 @@ fn hier_run(routers: usize, total_members: u64, seed: u64, threads: usize) -> Hi
 
 fn print_hier_table(rows: &[HierRow]) {
     println!(
-        "{:<8} {:>8} {:>9} {:>11} {:>6} {:>10} {:>10} {:>9} {:>8} {:>9} {:>8} {:>7}",
+        "{:<8} {:>8} {:>9} {:>11} {:>6} {:>10} {:>10} {:>9} {:>9} {:>8} {:>7}",
         "routers",
         "domains",
         "members",
@@ -473,14 +461,13 @@ fn print_hier_table(rows: &[HierRow]) {
         "events",
         "state/rtr",
         "ctrl/rtr",
-        "regions",
         "wall ms",
         "run ms",
         "us/ev"
     );
     for r in rows {
         println!(
-            "{:<8} {:>8} {:>9} {:>11} {:>6.1} {:>10} {:>10.2} {:>9.1} {:>8} {:>9.1} {:>8.1} {:>7.2}",
+            "{:<8} {:>8} {:>9} {:>11} {:>6.1} {:>10} {:>10.2} {:>9.1} {:>9.1} {:>8.1} {:>7.2}",
             r.routers,
             r.domains,
             r.members,
@@ -489,7 +476,6 @@ fn print_hier_table(rows: &[HierRow]) {
             r.events,
             r.state_entries as f64 / r.routers as f64,
             r.control_pkts as f64 / r.routers as f64,
-            r.regions,
             r.wall_ms,
             r.run_ms,
             r.us_per_event(),
@@ -521,7 +507,7 @@ fn hier_json(rows: &[HierRow]) -> String {
         s.push_str(&format!(
             "    {{\"routers\": {}, \"domains\": {}, \"members\": {}, \
              \"deliveries\": {}, \"events\": {}, \"state_entries\": {}, \
-             \"control_pkts\": {}, \"regions\": {}, \"wall_ms\": {:.1}, \
+             \"control_pkts\": {}, \"wall_ms\": {:.1}, \
              \"run_ms\": {:.1}, \"us_per_event\": {:.3}, \"fingerprint\": \"{:#018x}\"}}{}\n",
             r.routers,
             r.domains,
@@ -530,7 +516,6 @@ fn hier_json(rows: &[HierRow]) -> String {
             r.events,
             r.state_entries,
             r.control_pkts,
-            r.regions,
             r.wall_ms,
             r.run_ms,
             r.us_per_event(),
@@ -541,8 +526,12 @@ fn hier_json(rows: &[HierRow]) -> String {
     s
 }
 
+/// The flags this binary accepts.
+const USAGE: &str =
+    "usage: simbench [--seed N] [--trials N] [--quick] [--smoke] [--nodes N,N,...] [--hier N,N,...] [--members N,N,...] [--congestion] [--json PATH]";
+
 fn main() {
-    let args = cli::parse_smoke(20_000, 500);
+    let args = cli::parse_smoke(USAGE, 20_000, 500);
     let packets = args.trials as u64;
     println!("# Simulator microbench: LAN fan-out + end-to-end protocol run");
     let mut lan_rows = Vec::new();
@@ -557,7 +546,7 @@ fn main() {
         println!("lan_fanout   {payload}B fingerprint {fingerprint:#018x}");
         lan_rows.push((payload, received, fingerprint, lan_ms));
     }
-    let (deliveries, proto_ms) = protocol_run(args.seed, args.threads);
+    let (deliveries, proto_ms) = protocol_run(args.seed);
     println!("protocol_run pim-spt 30 nodes, 2 senders x 40 pkts: {deliveries} deliveries in {proto_ms:.1} ms");
 
     let sizes: Vec<usize> = args.nodes.clone().unwrap_or_else(|| {
@@ -567,40 +556,26 @@ fn main() {
             vec![20, 50, 100, 200]
         }
     });
-    let rows = node_sweep(&sizes, args.seed, args.threads);
+    let rows = node_sweep(&sizes, args.seed);
+    println!("node_sweep   pim-spt on Waxman internets:");
     println!(
-        "node_sweep   pim-spt on Waxman internets, {} threads:",
-        args.threads
-    );
-    println!(
-        "{:<8} {:>12} {:>12} {:>9} {:>10} {:>8} {:>7} {:>8}",
-        "nodes", "deliveries", "events", "regions", "wall ms", "run ms", "us/ev", "serial%"
+        "{:<8} {:>12} {:>12} {:>10} {:>8} {:>7}",
+        "nodes", "deliveries", "events", "wall ms", "run ms", "us/ev"
     );
     for r in &rows {
         println!(
-            "{:<8} {:>12} {:>12} {:>9} {:>10.1} {:>8.1} {:>7.2} {:>8}",
+            "{:<8} {:>12} {:>12} {:>10.1} {:>8.1} {:>7.2}",
             r.nodes,
             r.deliveries,
             r.events,
-            r.regions,
             r.wall_ms,
             r.run_ms,
             r.us_per_event(),
-            r.profile
-                .as_ref()
-                .map(|p| format!("{:.1}", p.serial_pct()))
-                .unwrap_or_else(|| "-".into()),
         );
     }
-    // Greppable one-liner for the CI gate: the auto-partitioner must be
-    // live at the largest sweep point.
     let last = rows.last().expect("non-empty sweep");
-    println!(
-        "auto_partition regions={} nodes={} threads={}",
-        last.regions, last.nodes, args.threads
-    );
-    // Where the event loop bends: per-region × event-kind attribution of
-    // the largest sweep point (nanosecond columns are wall-clock and
+    // Where the event loop bends: per-event-kind attribution of the
+    // largest sweep point (nanosecond columns are wall-clock and
     // vary run to run; event counts are deterministic).
     if let Some(p) = &last.profile {
         println!(
@@ -623,13 +598,10 @@ fn main() {
         }
     });
     let hier_members = 10_000u64;
-    println!(
-        "hier_sweep   pim-spt on hierarchical internets ({} aggregate members), {} threads:",
-        hier_members, args.threads
-    );
+    println!("hier_sweep   pim-spt on hierarchical internets ({hier_members} aggregate members):");
     let hier_rows: Vec<HierRow> = hier_sizes
         .iter()
-        .map(|&n| hier_run(n, hier_members, args.seed, args.threads))
+        .map(|&n| hier_run(n, hier_members, args.seed))
         .collect();
     print_hier_table(&hier_rows);
 
@@ -644,13 +616,10 @@ fn main() {
         Vec::new()
     } else {
         let routers = 1000;
-        println!(
-            "members_sweep pim-spt at {routers} routers, {} threads:",
-            args.threads
-        );
+        println!("members_sweep pim-spt at {routers} routers:");
         let rows: Vec<HierRow> = member_totals
             .iter()
-            .map(|&m| hier_run(routers, m, args.seed, args.threads))
+            .map(|&m| hier_run(routers, m, args.seed))
             .collect();
         print_hier_table(&rows);
         rows
@@ -659,12 +628,11 @@ fn main() {
     // Bounded-capacity congestion sweep (opt-in: it measures graceful
     // degradation, not throughput, so the default run stays unchanged).
     let congestion_rows = if args.congestion {
-        let rows = congestion_sweep(args.seed, args.threads);
+        let rows = congestion_sweep(args.seed);
         println!(
             "congestion_sweep pim-spt at 30 nodes, queue={CONGESTION_QUEUE}B \
-             ecn={}B ctrl-prio on, {} threads:",
+             ecn={}B ctrl-prio on:",
             CONGESTION_QUEUE / 2,
-            args.threads
         );
         println!(
             "{:<10} {:>11} {:>6} {:>7} {:>7} {:>6} {:>7} {:>10} {:>9}",
@@ -713,19 +681,13 @@ fn main() {
         for (i, r) in rows.iter().enumerate() {
             sweep_json.push_str(&format!(
                 "    {{\"nodes\": {}, \"deliveries\": {}, \"events\": {}, \
-                 \"regions\": {}, \"wall_ms\": {:.1}, \"run_ms\": {:.1}, \
-                 \"us_per_event\": {:.2}, \"serial_pct\": {}}}{}\n",
+                 \"wall_ms\": {:.1}, \"run_ms\": {:.1}, \"us_per_event\": {:.2}}}{}\n",
                 r.nodes,
                 r.deliveries,
                 r.events,
-                r.regions,
                 r.wall_ms,
                 r.run_ms,
                 r.us_per_event(),
-                r.profile
-                    .as_ref()
-                    .map(|p| format!("{:.1}", p.serial_pct()))
-                    .unwrap_or_else(|| "null".into()),
                 if i + 1 == rows.len() { "" } else { "," }
             ));
         }
@@ -766,7 +728,7 @@ fn main() {
             ));
         }
         let json = format!(
-            "{{\n  \"bench\": \"simbench\", \"seed\": {}, \"threads\": {},\n  \
+            "{{\n  \"bench\": \"simbench\", \"seed\": {},\n  \
              \"lan_fanout\": [\n{lan_json}  ],\n  \
              \"protocol_run\": {{\"proto\": \"pim-spt\", \"nodes\": 30, \
              \"deliveries\": {deliveries}, \"wall_ms\": {proto_ms:.1}}},\n  \
@@ -775,7 +737,6 @@ fn main() {
              \"members_sweep\": [\n{}  ],\n  \
              \"congestion_sweep\": [\n{congestion_json}  ]\n}}\n",
             args.seed,
-            args.threads,
             hier_json(&hier_rows),
             hier_json(&member_rows),
         );

@@ -108,8 +108,11 @@ fn run(policy: SptPolicy, seed: u64) -> Vec<(u64, Option<u64>, usize)> {
         .collect()
 }
 
+/// The flags this binary accepts.
+const USAGE: &str = "usage: spt_switch [--seed N] [--trials N] [--quick]";
+
 fn main() {
-    let args = cli::parse(1);
+    let args = cli::parse(USAGE, 1);
     println!("# SPT switchover (paper section 3.3): per-packet latency through the transition.");
     println!("# Diamond topology: RP path delay 5, shortest path delay 4.");
     let policies: [(&str, SptPolicy); 3] = [

@@ -133,8 +133,11 @@ fn run_suite(mode: Mode, seed: u64) -> (u64, f64) {
     (events, secs)
 }
 
+/// The flags this binary accepts.
+const USAGE: &str = "usage: telemetry [--seed N] [--trials N] [--quick]";
+
 fn main() {
-    let args = cli::parse(20);
+    let args = cli::parse(USAGE, 20);
     println!(
         "# Telemetry sink overhead: {} trials x (3 topologies x 3 protocols), seed {}.",
         args.trials, args.seed

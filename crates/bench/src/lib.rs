@@ -128,19 +128,14 @@ pub struct SimResult {
     /// attributes `control_pkts` to PIM vs IGMP vs DVMRP vs CBT vs the
     /// unicast substrate, classified once at tx time.
     pub control_breakdown: [(CtrlProto, u64); 6],
-    /// Regions the world was partitioned into for the run (1 = the
-    /// sequential core; >1 only when [`SimOptions::threads`] > 1 and the
-    /// auto-partitioner found a cut).
-    pub regions: usize,
-    /// Per-region × event-kind attribution ([`netsim::SimProfile`]),
-    /// collected only when [`SimOptions::profile`] is set. Event counts
-    /// are deterministic; nanosecond columns are wall-clock.
+    /// Per-event-kind attribution ([`netsim::SimProfile`]), collected
+    /// only when [`SimOptions::profile`] is set. Event counts are
+    /// deterministic; nanosecond columns are wall-clock.
     pub profile: Option<netsim::SimProfile>,
     /// FNV-1a fold of every member site's reception log (site, arrival
     /// tick, source, group, sequence, member weight) in site order — a
-    /// deterministic digest of *when and what every member received*.
-    /// Byte-identical across thread counts; the scale sweeps diff it
-    /// between `--threads 1` and `--threads N`.
+    /// deterministic digest of *when and what every member received*,
+    /// a pure function of the inputs and the seed.
     pub reception_fingerprint: u64,
     /// Wall-clock milliseconds spent inside `World::run_until` alone —
     /// the event-loop cost, excluding topology generation, the all-pairs
@@ -177,10 +172,12 @@ pub struct SimOptions {
     /// PIM configuration (both PIM modes; `spt_policy` is overridden by
     /// the chosen [`Proto`]).
     pub pim: PimConfig,
-    /// Worker threads for the region-partitioned world (1 = the classic
-    /// sequential core). Results are byte-identical for any value.
+    /// Inert: the simulation always runs on one event heap, whatever
+    /// this says. It exists only because the frozen benchmark under
+    /// `perfbench/` sets it; no other code should. Parallelism lives at
+    /// trial level (`par::run_trials`).
     pub threads: usize,
-    /// Collect a [`netsim::SimProfile`] (per-region wall-clock and
+    /// Collect a [`netsim::SimProfile`] (per-event-kind wall-clock and
     /// event-count attribution) into [`SimResult::profile`]. Purely
     /// observational: every deterministic output is unchanged.
     pub profile: bool,
@@ -232,6 +229,16 @@ pub fn run_protocol_sim(
     )
 }
 
+/// [`run_protocol_sim_opts`] over a hierarchical topology.
+pub fn run_protocol_sim_hier(
+    h: &HierTopology,
+    proto: Proto,
+    workloads: &[Workload],
+    opts: &SimOptions,
+) -> SimResult {
+    run_protocol_sim_opts(&h.graph, proto, workloads, opts)
+}
+
 /// [`run_protocol_sim`] with full [`SimOptions`] control.
 pub fn run_protocol_sim_opts(
     g: &Graph,
@@ -239,43 +246,9 @@ pub fn run_protocol_sim_opts(
     workloads: &[Workload],
     opts: &SimOptions,
 ) -> SimResult {
-    run_protocol_sim_core(g, proto, workloads, opts, None)
-}
-
-/// [`run_protocol_sim_opts`] over a hierarchical topology: the world is
-/// partitioned along the generator's domain boundaries (backbone =
-/// region 0, domains folded into the remaining regions) instead of the
-/// generic auto-partitioner, so every cross-region link is an expensive
-/// gateway hop and the conservative lookahead stays large. With
-/// `opts.threads == 1` the partition is skipped entirely; results are
-/// byte-identical either way.
-pub fn run_protocol_sim_hier(
-    h: &HierTopology,
-    proto: Proto,
-    workloads: &[Workload],
-    opts: &SimOptions,
-) -> SimResult {
-    let hints = h.region_hints(opts.threads);
-    run_protocol_sim_core(&h.graph, proto, workloads, opts, Some(&hints))
-}
-
-/// The shared simulation core behind [`run_protocol_sim_opts`] and
-/// [`run_protocol_sim_hier`]. `region_hints`, when given, must assign a
-/// region to every *router* (graph node); attached hosts inherit their
-/// router's region.
-fn run_protocol_sim_core(
-    g: &Graph,
-    proto: Proto,
-    workloads: &[Workload],
-    opts: &SimOptions,
-    region_hints: Option<&[u32]>,
-) -> SimResult {
     let packets_per_sender = opts.packets_per_sender;
     let seed = opts.seed;
     let topo = Topology::from_graph(g);
-    if let Some(hints) = region_hints {
-        assert_eq!(hints.len(), g.node_count(), "one region hint per router");
-    }
 
     // Which routers need an attached host.
     let mut involved: BTreeSet<NodeId> = BTreeSet::new();
@@ -350,8 +323,6 @@ fn run_protocol_sim_core(
             .any(|w| w.population > 1 && w.members.contains(&n))
     };
     let mut host_of = std::collections::BTreeMap::new();
-    // Hosts inherit their router's region; extended in add_node order.
-    let mut full_hints: Vec<u32> = region_hints.map(<[u32]>::to_vec).unwrap_or_default();
     for &n in &involved {
         let h_addr = host_addr(n, 0);
         let aggregate = aggregate_at(n);
@@ -371,9 +342,6 @@ fn run_protocol_sim_core(
             Proto::Cbt => world
                 .node_mut::<CbtRouter>(NodeIdx(n.index()))
                 .attach_host_lan(ifs[0], &[h_addr]),
-        }
-        if let Some(hints) = region_hints {
-            full_hints.push(hints[n.index()]);
         }
         host_of.insert(n, (h_idx, aggregate));
     }
@@ -452,14 +420,6 @@ fn run_protocol_sim_core(
     }
 
     let end = SEND_START + packets_per_sender * SEND_GAP + COOLDOWN;
-    world.parallelize(opts.threads);
-    // Hierarchical runs carry domain-aligned region hints: override the
-    // generic auto-partition so the parallel core cuts only gateway links
-    // (maximising conservative lookahead). Hosts inherit their router's
-    // region, so no host LAN ever crosses a region boundary.
-    if region_hints.is_some() && opts.threads > 1 {
-        world.set_partition(&full_hints);
-    }
     if opts.profile {
         world.enable_profile();
     }
@@ -471,7 +431,6 @@ fn run_protocol_sim_core(
     let mut result = SimResult {
         state_entries: state_sample.get(),
         run_ms,
-        regions: world.region_count(),
         profile: world.profile(),
         ..SimResult::default()
     };
@@ -566,11 +525,16 @@ fn run_protocol_sim_core(
 /// Minimal CLI parsing for the experiment binaries: `--seed N`,
 /// `--trials N`, `--quick` (divides trials by 10), `--smoke` (tiny
 /// bin-chosen trial count for the CI gate), `--threads N` (trial
-/// fan-out and world-partition width; output is bit-identical for every
-/// value), `--nodes N,N,...` (simbench: Waxman scaling sweep sizes),
-/// `--hier N,N,...` / `--members N,N,...` (simbench: hierarchical router
-/// counts and aggregate-member totals), `--congestion` (bounded-capacity
-/// sweeps), and `--json PATH` (machine-readable timing record).
+/// fan-out; output is bit-identical for every value), `--groups N`
+/// (fig2b: groups per network), `--nodes N,N,...` (simbench: Waxman
+/// scaling sweep sizes), `--hier N,N,...` / `--members N,N,...`
+/// (simbench: hierarchical router counts and aggregate-member totals),
+/// `--congestion` (bounded-capacity sweeps), and `--json PATH`
+/// (machine-readable timing record).
+///
+/// Each binary passes its usage line, and a flag is accepted only if
+/// that line names it. `--help` prints the usage and exits 0; a bad flag
+/// or value prints the error and the usage to stderr and exits 2.
 pub mod cli {
     /// Parsed common flags.
     #[derive(Clone, Debug)]
@@ -602,9 +566,42 @@ pub mod cli {
         pub congestion: bool,
     }
 
-    /// Parse `std::env::args` with the given default trial count;
-    /// `--smoke` uses `smoke_trials` unless `--trials` overrides it.
-    pub fn parse_smoke(default_trials: usize, smoke_trials: usize) -> Args {
+    /// Parse `std::env::args` against `usage` with the given default
+    /// trial count; `--smoke` uses `smoke_trials` unless `--trials`
+    /// overrides it. Exits the process on `--help` and on bad input.
+    pub fn parse_smoke(usage: &str, default_trials: usize, smoke_trials: usize) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        parse_args(usage, &argv, default_trials, smoke_trials).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{usage}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`parse_smoke`] with a derived smoke trial count (default/25, at
+    /// least 1).
+    pub fn parse(usage: &str, default_trials: usize) -> Args {
+        parse_smoke(usage, default_trials, (default_trials / 25).max(1))
+    }
+
+    /// Whether `usage` names `flag`.
+    fn offers(usage: &str, flag: &str) -> bool {
+        usage
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .any(|w| w == flag)
+    }
+
+    /// The parser behind [`parse_smoke`], on an explicit argument list
+    /// (program name excluded).
+    fn parse_args(
+        usage: &str,
+        argv: &[String],
+        default_trials: usize,
+        smoke_trials: usize,
+    ) -> Result<Args, String> {
         let mut args = Args {
             seed: 1994, // the paper's year; any seed reproduces the shape
             trials: default_trials,
@@ -617,103 +614,50 @@ pub mod cli {
             smoke: false,
             congestion: false,
         };
-        fn csv<T: std::str::FromStr>(flag: &str, arg: Option<&String>) -> Vec<T> {
-            arg.map(|s| {
-                s.split(',')
-                    .map(|p| {
-                        p.trim()
-                            .parse()
-                            .unwrap_or_else(|_| panic!("{flag} needs comma-separated counts"))
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|| panic!("{flag} needs comma-separated counts"))
+        fn num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+            v.and_then(|s| s.parse().ok())
+                .ok_or_else(|| format!("{flag} needs a number"))
+        }
+        fn csv<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<Vec<T>, String> {
+            v.and_then(|s| s.split(',').map(|p| p.trim().parse().ok()).collect())
+                .ok_or_else(|| format!("{flag} needs comma-separated counts"))
         }
         let mut explicit_trials = false;
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--seed" => {
-                    args.seed = argv
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs a number"));
-                    i += 2;
-                }
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            if !offers(usage, flag) {
+                return Err(format!("unknown flag {flag}"));
+            }
+            match flag {
+                "--seed" => args.seed = num(flag, it.next())?,
                 "--trials" => {
-                    args.trials = argv
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--trials needs a number"));
+                    args.trials = num(flag, it.next())?;
                     explicit_trials = true;
-                    i += 2;
                 }
                 "--threads" => {
-                    args.threads = argv
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| panic!("--threads needs a positive number"));
-                    i += 2;
+                    args.threads = num(flag, it.next())?;
+                    if args.threads == 0 {
+                        return Err("--threads needs a positive number".into());
+                    }
                 }
                 "--json" => {
-                    args.json = Some(
-                        argv.get(i + 1)
-                            .unwrap_or_else(|| panic!("--json needs a path"))
-                            .clone(),
-                    );
-                    i += 2;
+                    args.json = Some(it.next().ok_or("--json needs a path")?.clone());
                 }
-                "--groups" => {
-                    args.groups = Some(
-                        argv.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| panic!("--groups needs a number")),
-                    );
-                    i += 2;
-                }
-                "--nodes" => {
-                    args.nodes = Some(csv("--nodes", argv.get(i + 1)));
-                    i += 2;
-                }
-                "--hier" => {
-                    args.hier = Some(csv("--hier", argv.get(i + 1)));
-                    i += 2;
-                }
-                "--members" => {
-                    args.members = Some(csv("--members", argv.get(i + 1)));
-                    i += 2;
-                }
-                "--quick" => {
-                    args.trials = (args.trials / 10).max(1);
-                    i += 1;
-                }
-                "--smoke" => {
-                    args.smoke = true;
-                    i += 1;
-                }
-                "--congestion" => {
-                    args.congestion = true;
-                    i += 1;
-                }
-                other => panic!(
-                    "unknown flag {other}; supported: --seed N --trials N --quick --smoke \
-                     --threads N --json PATH --groups N --nodes N,N,... --hier N,N,... \
-                     --members N,N,... --congestion"
-                ),
+                "--groups" => args.groups = Some(num(flag, it.next())?),
+                "--nodes" => args.nodes = Some(csv(flag, it.next())?),
+                "--hier" => args.hier = Some(csv(flag, it.next())?),
+                "--members" => args.members = Some(csv(flag, it.next())?),
+                "--quick" => args.trials = (args.trials / 10).max(1),
+                "--smoke" => args.smoke = true,
+                "--congestion" => args.congestion = true,
+                _ => return Err(format!("unknown flag {flag}")),
             }
         }
         if args.smoke && !explicit_trials {
             args.trials = smoke_trials;
         }
-        args
-    }
-
-    /// [`parse_smoke`] with a derived smoke trial count (default/25, at
-    /// least 1).
-    pub fn parse(default_trials: usize) -> Args {
-        parse_smoke(default_trials, (default_trials / 25).max(1))
+        Ok(args)
     }
 }
 

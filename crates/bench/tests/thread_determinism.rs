@@ -61,10 +61,9 @@ fn ablation_output_is_thread_count_invariant() {
 }
 
 /// simbench prints wall-clock timings, which legitimately vary run to
-/// run, and region counts, which vary with `--threads` by design (the
-/// partition is a performance knob). Strip both — plus the profile
-/// block, whose per-region attribution follows the partition — leaving
-/// the deterministic content: fingerprints and delivery/event counts.
+/// run. Strip them — plus the profile blocks, whose nanosecond columns
+/// are wall-clock — leaving the deterministic content: fingerprints and
+/// delivery/event counts.
 fn simbench_deterministic_view(out: &str) -> String {
     out.lines()
         .filter_map(|l| {
@@ -72,27 +71,21 @@ fn simbench_deterministic_view(out: &str) -> String {
             if let Some(i) = l.find(" in ") {
                 return Some(l[..i].to_string());
             }
-            // The echoed thread count and the partition shape it implies,
-            // including the per-region profile table (indented block).
-            if l.contains(" threads:")
-                || l.starts_with("auto_partition")
-                || l.starts_with("node_profile")
-                || l.starts_with("hier_profile")
-                || l.starts_with("  ")
+            if l.starts_with("node_profile") || l.starts_with("hier_profile") || l.starts_with("  ")
             {
                 return None;
             }
             let toks: Vec<&str> = l.split_whitespace().collect();
-            // Sweep rows "nodes deliveries events regions wall_ms run_ms
-            // us/ev serial%" → keep only the simulation results (serial%
-            // may be "-").
-            if toks.len() == 8 && toks[..7].iter().all(|t| t.parse::<f64>().is_ok()) {
+            let numeric = toks.iter().all(|t| t.parse::<f64>().is_ok());
+            // Sweep rows "nodes deliveries events wall_ms run_ms us/ev"
+            // → keep only the simulation results.
+            if toks.len() == 6 && numeric {
                 return Some(toks[..3].join(" "));
             }
             // Hierarchical sweep rows "routers domains members deliveries
-            // del% events state/rtr ctrl/rtr regions wall_ms run_ms us/ev"
-            // → drop the partition shape and the wall-clock tail.
-            if toks.len() == 12 && toks.iter().all(|t| t.parse::<f64>().is_ok()) {
+            // del% events state/rtr ctrl/rtr wall_ms run_ms us/ev" → drop
+            // the wall-clock tail.
+            if toks.len() == 11 && numeric {
                 return Some(toks[..8].join(" "));
             }
             Some(l.to_string())
@@ -102,22 +95,20 @@ fn simbench_deterministic_view(out: &str) -> String {
 }
 
 /// The simulator microbench — LAN fan-out fingerprint, protocol-run
-/// deliveries, and the node-count sweep (deliveries, events, regions) —
-/// must agree at 1, 2, and 4 threads.
+/// deliveries, and the sweeps' deliveries and events — must repeat
+/// exactly from run to run.
 #[test]
 fn simbench_results_are_thread_count_invariant() {
     let bin = env!("CARGO_BIN_EXE_simbench");
-    let views: Vec<String> = ["1", "2", "4"]
-        .iter()
-        .map(|t| simbench_deterministic_view(&run(bin, &["--smoke", "--threads", t])))
+    let views: Vec<String> = (0..2)
+        .map(|_| simbench_deterministic_view(&run(bin, &["--smoke"])))
         .collect();
     assert!(
         views[0].contains("fingerprint"),
         "missing fingerprint line:\n{}",
         views[0]
     );
-    assert_eq!(views[0], views[1], "simbench: 1 vs 2 threads diverged");
-    assert_eq!(views[0], views[2], "simbench: 1 vs 4 threads diverged");
+    assert_eq!(views[0], views[1], "simbench: two runs diverged");
 }
 
 /// `--seed` still changes the numbers (the invariance above isn't a

@@ -70,7 +70,7 @@ pub struct Entry {
     pub iif: Option<IfaceId>,
     /// The upstream neighbor joins/prunes for this entry are sent to.
     pub upstream: Option<Addr>,
-    /// Outgoing interfaces, ordered for deterministic iteration.
+    /// The outgoing interfaces, ordered for deterministic iteration.
     pub oifs: BTreeMap<IfaceId, Oif>,
     /// LAN-pruned interfaces of a negative-cache entry: present in the
     /// parallel (\*,G) oif list but excluded here. Only used when

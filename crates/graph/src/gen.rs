@@ -320,30 +320,6 @@ impl HierTopology {
     pub fn node_count(&self) -> usize {
         self.backbone + self.domains * self.domain_size
     }
-
-    /// Region hints for the parallel event core, compatible with
-    /// `Topology::regions_by`: the whole backbone is region 0 and the
-    /// domains are folded into the remaining `target - 1` regions in
-    /// contiguous runs. Every cross-region link is a gateway link, so the
-    /// conservative lookahead is the minimum gateway delay — partitioning
-    /// along domain boundaries is exactly what makes the windows long.
-    ///
-    /// `target <= 1` (or a single domain) collapses to one region.
-    pub fn region_hints(&self, target: usize) -> Vec<u32> {
-        let n = self.node_count();
-        if target <= 1 || self.domains == 0 {
-            return vec![0; n];
-        }
-        let buckets = (target - 1).min(self.domains);
-        let mut hints = vec![0u32; n];
-        for d in 0..self.domains {
-            let region = 1 + (d * buckets / self.domains) as u32;
-            for v in self.domain_nodes(d) {
-                hints[v] = region;
-            }
-        }
-        hints
-    }
 }
 
 /// Generate a hierarchical internetwork: a Waxman AS-level backbone with
@@ -565,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_region_hints_cut_only_gateway_links() {
+    fn hierarchical_domain_boundaries_are_gateway_links() {
         let mut rng = StdRng::seed_from_u64(13);
         let h = hierarchical(
             &HierParams {
@@ -574,21 +550,16 @@ mod tests {
             },
             &mut rng,
         );
-        let hints = h.region_hints(4);
-        assert_eq!(hints.len(), h.node_count());
-        // Backbone is region 0; domains use 1..4.
-        assert!(hints[..h.backbone].iter().all(|&r| r == 0));
-        assert!(hints.iter().all(|&r| r < 4));
-        assert!((1..4).all(|r| hints.contains(&r)));
-        // Every edge that crosses regions is a gateway link, whose delay
-        // (>= 1) is what the parallel core's lookahead will be.
+        // Every edge that leaves a domain is a slow gateway link.
         for (_, e) in h.graph.edges() {
-            if hints[e.a.index()] != hints[e.b.index()] {
-                assert!(e.weight >= 5, "cross-region edge with delay {}", e.weight);
+            if h.domain_of[e.a.index()] != h.domain_of[e.b.index()] {
+                assert!(
+                    e.weight >= 5,
+                    "domain-crossing edge with delay {}",
+                    e.weight
+                );
             }
         }
-        // target <= 1 collapses to a single region.
-        assert!(h.region_hints(1).iter().all(|&r| r == 0));
     }
 
     #[test]

@@ -109,19 +109,6 @@ impl Topology {
         &self.plans[n.index()]
     }
 
-    /// Explicit region assignment for [`World::set_partition`]: one region
-    /// id per planned router, chosen by `f` keyed on the graph node. An
-    /// override for when domain knowledge (an AS map, a continent split)
-    /// beats the [`crate::partition::auto_partition`] heuristic — the
-    /// world's determinism contract makes every assignment byte-identical,
-    /// so this is purely a performance knob. Callers that add more nodes
-    /// after [`build_world`](Topology::build_world) (attached hosts) must
-    /// extend the returned vector to cover them, typically placing each
-    /// host in its router's region so the host LAN never crosses a cut.
-    pub fn regions_by(&self, f: impl Fn(NodeId) -> u32) -> Vec<u32> {
-        self.plans.iter().map(|p| f(p.node)).collect()
-    }
-
     /// Build a world: `make` constructs each router from its plan. Returns
     /// the world and the link ids in graph-edge order.
     ///
@@ -229,20 +216,5 @@ mod tests {
         assert_eq!(w.node_count(), 3);
         assert_eq!(links.len(), 3);
         assert_eq!(w.link(links[1]).delay, Duration(3));
-    }
-
-    #[test]
-    fn regions_by_overrides_the_partition() {
-        let g = triangle();
-        let t = Topology::from_graph(&g);
-        let (mut w, _) = t.build_world(&g, 0, |_| Box::new(Sink));
-        let regions = t.regions_by(|n| if n.index() < 2 { 0 } else { 1 });
-        assert_eq!(regions, vec![0, 0, 1]);
-        w.set_partition(&regions);
-        assert_eq!(w.region_count(), 2);
-        // Both cross-region links (edges 1 and 2, delays 3 and 4) feed the
-        // conservative lookahead; the minimum wins.
-        w.start();
-        assert_eq!(w.cross_region_lookahead(), Some(Duration(3)));
     }
 }

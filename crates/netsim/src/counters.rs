@@ -277,55 +277,6 @@ impl Counters {
         *slot(&mut self.local_deliveries, node.0) += 1;
     }
 
-    /// Fold another counter shard into this one.
-    ///
-    /// The partitioned world keeps one `Counters` shard per region and
-    /// merges them on demand. Merging is **associative and commutative**
-    /// (every field is a sum except `last_data_at`, which is a max), so
-    /// the merged totals are identical for any region assignment and any
-    /// merge order — part of the byte-identity contract the parallel
-    /// simulation core pins.
-    pub fn merge(&mut self, other: &Counters) {
-        for (link, o) in other.per_link.iter().enumerate() {
-            let s = slot(&mut self.per_link, link);
-            s.control_pkts += o.control_pkts;
-            s.data_pkts += o.data_pkts;
-            s.bytes += o.bytes;
-            s.losses += o.losses;
-            s.corrupted += o.corrupted;
-            s.duplicated += o.duplicated;
-            s.reordered += o.reordered;
-            s.queue_drops_data += o.queue_drops_data;
-            s.queue_drops_ctrl += o.queue_drops_ctrl;
-            s.ecn_marks += o.ecn_marks;
-            // Peaks and caps merge by max — max is associative and
-            // commutative, so the merged totals stay partition-invariant.
-            s.peak_queue_bytes = s.peak_queue_bytes.max(o.peak_queue_bytes);
-            s.queue_cap_bytes = s.queue_cap_bytes.max(o.queue_cap_bytes);
-            s.last_data_at = match (s.last_data_at, o.last_data_at) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        for (i, n) in other.ctrl_tx.iter().enumerate() {
-            self.ctrl_tx[i] += n;
-        }
-        for (node, n) in other.local_deliveries.iter().enumerate() {
-            *slot(&mut self.local_deliveries, node) += n;
-        }
-        for (node, n) in other.decode_failures.iter().enumerate() {
-            *slot(&mut self.decode_failures, node) += n;
-        }
-        self.rx_control_pkts += other.rx_control_pkts;
-        self.rx_data_pkts += other.rx_data_pkts;
-        self.rx_bytes += other.rx_bytes;
-        self.events_dispatched += other.events_dispatched;
-        self.timers_fired += other.timers_fired;
-        self.timers_skipped_stale += other.timers_skipped_stale;
-        self.timers_cancelled_node_down += other.timers_cancelled_node_down;
-        self.pkts_dropped_node_down += other.pkts_dropped_node_down;
-    }
-
     /// Stats for one link (zeroes if it never carried traffic).
     pub fn link(&self, link: LinkId) -> LinkStats {
         self.per_link.get(link.0).copied().unwrap_or_default()
@@ -629,100 +580,5 @@ mod tests {
         assert_eq!(c.local_deliveries(NodeIdx(0)), 0);
         assert_eq!(c.total_local_deliveries(), 2);
         assert_eq!(c.links_carrying_data(), 2);
-    }
-
-    /// Sharded recording + merge must reproduce single-heap totals, and
-    /// the merge must be associative: `(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)`.
-    #[test]
-    fn merge_matches_single_heap_and_is_associative() {
-        // One recording script, replayable into any counter shard.
-        let record = |c: &mut Counters, salt: u64| {
-            let l = LinkId((salt % 3) as usize);
-            c.record_tx(l, PacketClass::Data, None, 100, SimTime(10 + salt));
-            c.record_tx(
-                l,
-                PacketClass::Control,
-                Some(CtrlProto::Pim),
-                20,
-                SimTime(salt),
-            );
-            c.record_rx(l, PacketClass::Data, 100);
-            c.record_dispatch();
-            c.record_timer_fired();
-            c.record_loss(l);
-            c.record_corrupted(l);
-            c.record_queue_drop(l, PacketClass::Data);
-            if salt.is_multiple_of(3) {
-                c.record_queue_drop(l, PacketClass::Control);
-            }
-            c.record_ecn_mark(l);
-            c.record_queue_depth(l, 64 + salt * 8, 256);
-            c.record_local_delivery(NodeIdx(salt as usize));
-            c.record_decode_failure(NodeIdx(salt as usize));
-            if salt.is_multiple_of(2) {
-                c.record_timer_skipped();
-                c.record_pkt_dropped_node_down();
-            }
-        };
-
-        // The "single heap": everything recorded into one Counters.
-        let mut whole = Counters::default();
-        for salt in 0..9 {
-            record(&mut whole, salt);
-        }
-
-        // The "region shards": the same records split three ways.
-        let mut shards = [
-            Counters::default(),
-            Counters::default(),
-            Counters::default(),
-        ];
-        for salt in 0..9 {
-            record(&mut shards[(salt % 3) as usize], salt);
-        }
-
-        let merge_all = |order: &[usize]| {
-            let mut total = Counters::default();
-            for &i in order {
-                total.merge(&shards[i]);
-            }
-            total
-        };
-        let eq = |a: &Counters, b: &Counters| {
-            assert_eq!(a.total_data_pkts(), b.total_data_pkts());
-            assert_eq!(a.total_control_pkts(), b.total_control_pkts());
-            assert_eq!(a.control_breakdown(), b.control_breakdown());
-            assert_eq!(a.total_bytes(), b.total_bytes());
-            assert_eq!(a.losses(), b.losses());
-            assert_eq!(a.pkts_corrupted(), b.pkts_corrupted());
-            assert_eq!(a.queue_drops_data(), b.queue_drops_data());
-            assert_eq!(a.queue_drops_ctrl(), b.queue_drops_ctrl());
-            assert_eq!(a.ecn_marks(), b.ecn_marks());
-            assert_eq!(a.peak_queue_bytes(), b.peak_queue_bytes());
-            assert_eq!(a.rx_pkts(), b.rx_pkts());
-            assert_eq!(a.events_dispatched(), b.events_dispatched());
-            assert_eq!(a.timers_fired(), b.timers_fired());
-            assert_eq!(a.timers_skipped_stale(), b.timers_skipped_stale());
-            assert_eq!(a.pkts_dropped_node_down(), b.pkts_dropped_node_down());
-            assert_eq!(a.total_local_deliveries(), b.total_local_deliveries());
-            assert_eq!(a.total_decode_failures(), b.total_decode_failures());
-            for l in 0..3 {
-                assert_eq!(a.link(LinkId(l)), b.link(LinkId(l)), "link {l}");
-            }
-        };
-
-        // Shard-merge equals the single-heap totals, in any merge order.
-        eq(&merge_all(&[0, 1, 2]), &whole);
-        eq(&merge_all(&[2, 0, 1]), &whole);
-
-        // Associativity: ((a ⊕ b) ⊕ c) == (a ⊕ (b ⊕ c)).
-        let mut left = shards[0].clone();
-        left.merge(&shards[1]);
-        left.merge(&shards[2]);
-        let mut bc = shards[1].clone();
-        bc.merge(&shards[2]);
-        let mut right = shards[0].clone();
-        right.merge(&bc);
-        eq(&left, &right);
     }
 }

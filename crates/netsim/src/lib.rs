@@ -6,14 +6,13 @@
 //!
 //! * simulated time in abstract ticks ([`SimTime`], [`Duration`]);
 //! * point-to-point links and multi-access LANs with per-link propagation
-//!   delay, administrative up/down, and independent per-receiver loss
-//!   injection ([`World::add_p2p`], [`World::add_lan`]);
+//!   delay (at least one tick), administrative up/down, and independent
+//!   per-receiver loss injection ([`World::add_p2p`], [`World::add_lan`]);
 //! * a [`Node`] trait implemented by protocol router/host adapters; nodes
 //!   receive packets and timer callbacks and emit packets through [`Ctx`];
-//! * deterministic execution: seeded per-node RNG streams and a
-//!   partition-independent canonical event order, so results are
-//!   byte-identical for any region assignment and thread count
-//!   ([`World::parallelize`], [`partition::auto_partition`]);
+//! * deterministic execution: seeded per-node RNG streams and one event
+//!   heap that dispatches in canonical order, so results and the
+//!   telemetry stream are a pure function of the seed and the scenario;
 //! * overhead [`Counters`] for the paper's efficiency metrics (control
 //!   packets, data packets, bytes per link; local member deliveries);
 //! * a [`build::Topology`] planner that instantiates a world from a
@@ -23,7 +22,6 @@
 
 pub mod build;
 pub mod counters;
-pub mod partition;
 pub mod profile;
 pub mod time;
 pub mod trace;
@@ -31,7 +29,7 @@ pub mod world;
 
 pub use build::{host_addr, node_of_addr, router_addr, Topology};
 pub use counters::{Counters, CtrlProto, LinkStats, PacketClass};
-pub use profile::{RegionProfile, SimProfile};
+pub use profile::SimProfile;
 pub use time::{earliest, Duration, SimTime};
 pub use world::{
     CaptureRecord, ChannelModel, Ctx, IfaceId, Link, LinkCapacity, LinkId, LinkKind, Node, NodeIdx,

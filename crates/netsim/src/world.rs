@@ -1,5 +1,5 @@
-//! The discrete-event simulation world: nodes, links, region-partitioned
-//! event heaps, and the conservative parallel driver loop.
+//! The discrete-event simulation world: nodes, links, and one event heap
+//! that dispatches every node callback in canonical order.
 //!
 //! The simulator is deliberately simple (smoltcp-style "simplicity and
 //! robustness"): links have a fixed propagation delay and optional random
@@ -22,31 +22,31 @@
 //! exactly through text. [`LinkCapacity`] fields are plain integers
 //! (bytes/tick and bytes) for the same round-trip reason.
 //!
-//! # Parallel core (DESIGN.md §9)
+//! # Event core (DESIGN.md §9)
 //!
-//! Nodes are assigned to **regions** (one by default; see
-//! [`World::set_partition`] and [`World::parallelize`]). Each region owns
-//! its own event heap, event arena, RNG streams, `Counters` shard, and
-//! telemetry buffer, so regions can advance concurrently with no locks on
-//! the hot path. Regions advance in lock-step **windows** bounded by the
-//! conservative lookahead `L = min cross-region link delay`: no event a
-//! region processes before `T_min + L` can be affected by another region's
-//! work in the same window, because any cross-region packet created in the
-//! window is due at or after that bound. Cross-region deliveries travel
-//! through per-region outboxes drained at the window barrier.
+//! One heap and one event arena hold every pending delivery and timer;
+//! scripts wait in a queue of their own and run before the node events
+//! of their tick. Every dispatch gets a **canonical tag** `(time, epoch,
+//! node, node's dispatch seq)`, and every event it creates is keyed by
+//! that tag plus a 1-based emission index. The heap orders events by
+//! due time, then by the receiving node, then by the creating tag.
+//! Because every link takes at least one tick, nothing a dispatch
+//! creates is due in the same tick at another node, so the heap runs
+//! each tick's nodes in ascending index order: its dispatch order *is*
+//! tag order.
 //!
 //! # Determinism contract
 //!
-//! Every event carries a partition-independent **canonical key**
-//! `(time, epoch, origin node, origin dispatch seq, emission index)`; each
-//! region's heap orders by that key, per-node RNG streams are a pure
-//! function of the world seed and the node index, and telemetry is
-//! buffered per region and merged in canonical-key order at each barrier.
-//! The result: receptions, merged counters, captures, and the telemetry
-//! byte stream are **identical for any partition and any `--threads`**,
-//! including the default single region.
+//! Per-node RNG streams are a pure function of the world seed and the
+//! node index, and no tag ever depends on a global insertion counter.
+//! Telemetry is stamped with the running dispatch's tag and cause and
+//! written straight to the user's sink in dispatch order — the
+//! canonical order: each tick's scripts, then its heap dispatches in
+//! tag order. Receptions, counters, captures and the telemetry byte
+//! stream are therefore a pure function of the seed and the scenario.
 
 use crate::counters::{Counters, PacketClass};
+use crate::profile::SimProfile;
 use crate::time::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,13 +65,13 @@ const NODE_RNG_STREAM: u64 = 0x6E6F_6465; // "node"
 /// sort before any runtime event at the same tick.
 const EPOCH_START: u8 = 0;
 /// Canonical-key epoch for scripts. Scripts live in a separate
-/// world-level queue and never enter a region heap; the epoch exists so
+/// world-level queue and never enter the event heap; the epoch exists so
 /// a script dispatch has a canonical identity of its own — the causal
 /// root every fault injection's consequences hang off — that sorts
 /// before the node events it triggers at the same tick.
 const EPOCH_SCRIPT: u8 = 1;
-/// Canonical-key epoch for runtime node events (deliveries, timers,
-/// barrier dispatches).
+/// Canonical-key epoch for runtime node events (deliveries, timers, and
+/// node calls made from scripts).
 const EPOCH_EVENT: u8 = 2;
 
 /// Index of a node in the world.
@@ -245,11 +245,7 @@ pub struct Link {
 
 /// A simulated node. Implementations wrap sans-IO protocol engines and
 /// translate their outputs into [`Ctx`] calls.
-///
-/// `Send` is required because the partitioned world hands whole regions
-/// (which own their nodes) across scoped threads at window boundaries;
-/// a node is only ever touched by the one thread running its region.
-pub trait Node: Send {
+pub trait Node {
     /// Called once when the simulation starts, before any packets flow.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
@@ -285,16 +281,15 @@ pub trait Node: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The partition-independent canonical key of a region event.
+/// The canonical key of a dispatch or of an event.
 ///
 /// `origin` is the creating node's index + 1 (0 is reserved for the
-/// world itself, which never creates region events); `seq` is the
-/// creating dispatch's per-node sequence number; `emit` is the 1-based
-/// emission index within that dispatch (0 is reserved for the dispatch's
-/// own identity tag, used to key telemetry and captures). Because every
-/// component is derived from the creating node's own deterministic
-/// history — never from a global insertion counter — the total order of
-/// events is the same for every region assignment and thread count.
+/// world itself, which keys its scripts); `seq` is the creating
+/// dispatch's per-node sequence number; `emit` is the 1-based emission
+/// index within that dispatch (0 is reserved for the dispatch's own
+/// identity tag, used to key telemetry and captures). Every component
+/// is derived from the creating node's own deterministic history —
+/// never from a global insertion counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 struct Tag {
     time: SimTime,
@@ -337,23 +332,32 @@ enum Event {
     },
 }
 
+impl Event {
+    /// The node the event will be dispatched to.
+    fn node(&self) -> NodeIdx {
+        match self {
+            Event::Deliver { node, .. } | Event::Timer { node, .. } => *node,
+        }
+    }
+}
+
 /// Handle to a scheduled timer, usable with [`Ctx::cancel_timer`].
 ///
 /// Generation-counted: event slots are recycled once an event fires or is
 /// cancelled, and the generation disambiguates a handle from any later
 /// tenant of the same slot, so cancelling an already-fired timer is a safe
-/// no-op rather than an ABA hazard. The slot index is region-local; a
-/// handle is only meaningful to the node that armed the timer (timers
-/// never cross regions).
+/// no-op rather than an ABA hazard. A handle is only meaningful to the
+/// node that armed the timer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TimerId {
     slot: usize,
     gen: u32,
 }
 
-/// One event-arena slot. The heap stores `(tag, slot, gen)`; a popped
-/// entry whose generation no longer matches (or whose slot is empty) is a
-/// cancelled timer and is skipped without dispatch.
+/// One event-arena slot. The heap stores a [`Due`] naming the slot and
+/// its generation; a popped entry whose generation no longer matches (or
+/// whose slot is empty) is a cancelled timer and is skipped without
+/// dispatch.
 struct EventSlot {
     gen: u32,
     ev: Option<Event>,
@@ -361,6 +365,19 @@ struct EventSlot {
     /// event's causal parent, threaded into the handling dispatch so
     /// every consequence links back to its cause.
     cause: Tag,
+}
+
+/// A heap entry, ordered by due time, then the receiving node, then the
+/// creating tag. Ordering by receiver inside a tick makes the heap
+/// dispatch in tag order; among one node's events the creating tag
+/// decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    time: SimTime,
+    node: usize,
+    tag: Tag,
+    slot: usize,
+    gen: u32,
 }
 
 /// One captured transmission (see [`World::enable_capture`]).
@@ -376,94 +393,34 @@ pub struct CaptureRecord {
     pub summary: String,
 }
 
-/// A buffered telemetry entry: the emission plus the canonical key of the
-/// dispatch that produced it, so the barrier merge can restore the
-/// partition-independent order.
-struct BufEntry {
-    tag: Tag,
-    idx: u64,
-    node: u32,
-    at: u64,
-    ev: telemetry::Event,
-    /// Cause of the emitting dispatch (None for causal roots).
+/// The sink every emitter writes through once telemetry is attached: it
+/// forwards each event to the user's sink stamped with the identity and
+/// cause of the running dispatch (`None` for causal roots).
+struct Stamp {
+    sink: telemetry::SharedSink,
+    id: Tag,
     cause: Option<Tag>,
 }
 
-/// Per-region telemetry buffer. Node adapters and the world's own
-/// emitters write here during a window (each buffer is only touched by
-/// the thread running its region — the mutex is uncontended); the main
-/// thread drains all buffers at every barrier, sorts by `(tag, idx)`,
-/// and streams into the user's sink. `idx` is monotone per buffer:
-/// same-tag entries always come from a single dispatch in a single
-/// region, so only their relative order matters.
-#[derive(Default)]
-struct RegionBuf {
-    tag: Tag,
-    cause: Option<Tag>,
-    next: u64,
-    entries: Vec<BufEntry>,
-    /// One provenance edge per dispatch this window — including silent
-    /// dispatches that emit no events, so backward slices never have
-    /// holes where a hop merely forwarded data.
-    links: Vec<(Tag, Option<Tag>)>,
-}
-
-impl telemetry::Sink for RegionBuf {
+impl telemetry::Sink for Stamp {
     fn event(&mut self, node: u32, at: u64, ev: &telemetry::Event) {
-        let idx = self.next;
-        self.next += 1;
-        self.entries.push(BufEntry {
-            tag: self.tag,
-            idx,
-            node,
-            at,
-            ev: ev.clone(),
-            cause: self.cause,
-        });
+        let prov = telemetry::Provenance {
+            id: self.id.event_id(),
+            cause: self.cause.map(Tag::event_id),
+        };
+        self.sink
+            .lock()
+            .expect("sink poisoned")
+            .event_caused(node, at, ev, prov);
     }
-}
-
-/// A cross-region delivery waiting at the window barrier to be routed
-/// into its destination region's heap. The heap orders by canonical tag,
-/// so routing order is irrelevant to the result.
-struct Outgoing {
-    dst: u32,
-    tag: Tag,
-    /// Identity tag of the creating dispatch (causal parent).
-    cause: Tag,
-    node: NodeIdx,
-    iface: IfaceId,
-    packet: Arc<[u8]>,
-    link: LinkId,
-}
-
-/// State shared read-only across regions during a window: topology and
-/// node liveness. Mutated only at barriers (scripts, fault injection) on
-/// the main thread.
-struct Shared {
-    links: Vec<Link>,
-    /// ifaces[node.0][iface.0] = link the interface attaches to.
-    ifaces: Vec<Vec<LinkId>>,
-    /// node_up[node.0]: false while the node is crashed. Down nodes get no
-    /// deliveries and no timer callbacks.
-    node_up: Vec<bool>,
-    /// region_of[node.0] = owning region id.
-    region_of: Vec<u32>,
-    /// slot_of[node.0] = the node's slot inside its region.
-    slot_of: Vec<u32>,
-    /// Packet capture limit, `Some(limit)` when enabled.
-    capture_limit: Option<usize>,
 }
 
 /// Per-direction transmit-queue state for the capacity model: one entry
 /// per `(link, sending node)` pair that has ever transmitted on a
-/// capacity-limited link. Lives in the sender's region — every transmit
-/// by a node runs inside its own region's dispatches, so the state is
-/// touched by exactly one region and the partition cannot observe it
-/// (the PR 6 byte-identity invariant).
+/// capacity-limited link. Only the sender's own dispatches touch it.
 #[derive(Clone, Copy, Default)]
 struct TxDir {
-    /// Last time the backlog was drained (sender-region clock).
+    /// Last time the backlog was drained.
     last: SimTime,
     /// Queued bytes not yet serialized onto the wire.
     backlog: u64,
@@ -473,236 +430,10 @@ struct TxDir {
     peak_bucket: u32,
 }
 
-/// One region of the partitioned world: its nodes, their RNG streams and
-/// dispatch counters, an event heap + arena, a `Counters` shard, capture
-/// shard, telemetry buffer, and the cross-region outbox.
-struct Region {
-    id: u32,
-    now: SimTime,
-    nodes: Vec<Option<Box<dyn Node>>>,
-    rngs: Vec<StdRng>,
-    /// Per-slot dispatch counter: the `seq` component of canonical tags.
-    dispatch_seq: Vec<u64>,
-    heap: BinaryHeap<Reverse<(Tag, usize, u32)>>,
-    /// Event arena, indexed by the slot carried in the heap. Slots are
-    /// vacated (and recycled via `free`) as events fire or are cancelled,
-    /// so memory is bounded by *outstanding* events, not events ever
-    /// scheduled.
-    events: Vec<EventSlot>,
-    /// Vacated arena slots available for reuse.
-    free: Vec<usize>,
-    counters: Counters,
-    /// Capture shard: `(dispatch tag, per-region seq, record)`.
-    capture: Vec<(Tag, u64, CaptureRecord)>,
-    cap_seq: u64,
-    buf: Option<Arc<Mutex<RegionBuf>>>,
-    outbox: Vec<Outgoing>,
-    /// Capacity-model queue state, keyed `(link, sending node)`. Only
-    /// populated for links with a [`LinkCapacity`] configured; an
-    /// unlimited link never touches it.
-    tx_queues: std::collections::HashMap<(usize, usize), TxDir>,
-    /// Wall-clock/event-count attribution shard, `Some` when profiling
-    /// (see [`World::enable_profile`]). Only the profiler reads
-    /// wall-clock; nothing inside the simulation ever does.
-    prof: Option<crate::profile::RegionProfile>,
-}
-
-impl Region {
-    fn new(id: u32) -> Region {
-        Region {
-            id,
-            now: SimTime::ZERO,
-            nodes: Vec::new(),
-            rngs: Vec::new(),
-            dispatch_seq: Vec::new(),
-            heap: BinaryHeap::new(),
-            events: Vec::new(),
-            free: Vec::new(),
-            counters: Counters::default(),
-            capture: Vec::new(),
-            cap_seq: 0,
-            buf: None,
-            outbox: Vec::new(),
-            tx_queues: std::collections::HashMap::new(),
-            prof: None,
-        }
-    }
-
-    fn push_event(&mut self, tag: Tag, cause: Tag, ev: Event) -> TimerId {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.events[slot].ev = Some(ev);
-                self.events[slot].cause = cause;
-                slot
-            }
-            None => {
-                self.events.push(EventSlot {
-                    gen: 0,
-                    ev: Some(ev),
-                    cause,
-                });
-                self.events.len() - 1
-            }
-        };
-        let gen = self.events[slot].gen;
-        self.heap.push(Reverse((tag, slot, gen)));
-        TimerId { slot, gen }
-    }
-
-    /// Vacate a slot after its event fired or was cancelled: bump the
-    /// generation (so outstanding handles and heap entries for this tenant
-    /// go stale) and recycle the index. The generation must strictly
-    /// increase across a recycle — if it ever wrapped, a 2^32-events-old
-    /// stale handle (or a future cross-region cancel) could ABA the
-    /// slot's new tenant.
-    fn vacate(&mut self, slot: usize) -> Event {
-        let s = &mut self.events[slot];
-        let ev = s.ev.take().expect("vacating an empty event slot");
-        let old = s.gen;
-        s.gen = old.wrapping_add(1);
-        debug_assert!(
-            s.gen > old,
-            "event-slot generation wrapped: recycled slot would ABA stale handles"
-        );
-        self.free.push(slot);
-        ev
-    }
-
-    /// Run one node callback under a fresh canonical dispatch tag,
-    /// through the take-call-put dance that lets the node borrow the
-    /// region mutably alongside itself. `cause` is the identity tag of
-    /// the dispatch that created the event being handled (`None` for
-    /// causal roots: `on_start`, and barrier dispatches outside any
-    /// script); it stamps every emission and is recorded as one
-    /// provenance edge even when the callback emits nothing.
-    fn dispatch(
-        &mut self,
-        shared: &Shared,
-        node: NodeIdx,
-        epoch: u8,
-        cause: Option<Tag>,
-        f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
-    ) {
-        let slot = shared.slot_of[node.0] as usize;
-        let seq = self.dispatch_seq[slot];
-        self.dispatch_seq[slot] = seq + 1;
-        let tag = Tag {
-            time: self.now,
-            epoch,
-            origin: node.0 as u32 + 1,
-            seq,
-            emit: 0,
-        };
-        if let Some(buf) = &self.buf {
-            let mut guard = buf.lock().expect("region buffer poisoned");
-            guard.tag = tag;
-            guard.cause = cause;
-            guard.links.push((tag, cause));
-        }
-        let mut node_box = self.nodes[slot].take().expect("node re-entrancy");
-        {
-            let mut ctx = Ctx {
-                region: self,
-                shared,
-                node,
-                slot,
-                tag,
-                emits: 0,
-            };
-            f(node_box.as_mut(), &mut ctx);
-        }
-        self.nodes[slot] = Some(node_box);
-    }
-
-    /// Process every event in this region due strictly before `bound`
-    /// (up to `budget` heap pops), advancing the region clock event by
-    /// event. Newly created same-region events inside the window are
-    /// picked up in the same pass; cross-region events land in the
-    /// outbox (the lookahead guarantees they are due at or after
-    /// `bound`, so routing them at the barrier is conservative-safe).
-    fn run_window(&mut self, shared: &Shared, bound: SimTime, budget: usize) -> usize {
-        let mut n = 0;
-        while n < budget {
-            let due = match self.heap.peek() {
-                Some(Reverse((tag, _, _))) => tag.time,
-                None => break,
-            };
-            if due >= bound {
-                break;
-            }
-            let Some(Reverse((tag, slot, gen))) = self.heap.pop() else {
-                break;
-            };
-            debug_assert!(tag.time >= self.now, "region time went backwards");
-            self.now = tag.time;
-            n += 1;
-            // A generation mismatch or empty slot means the event was
-            // cancelled (or the slot recycled after cancellation): skip
-            // without dispatch.
-            if self.events[slot].gen != gen || self.events[slot].ev.is_none() {
-                self.counters.record_timer_skipped();
-                if let Some(p) = &mut self.prof {
-                    p.stale_events += 1;
-                }
-                continue;
-            }
-            let cause = self.events[slot].cause;
-            let ev = self.vacate(slot);
-            self.counters.record_dispatch();
-            let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-            match ev {
-                Event::Deliver {
-                    node,
-                    iface,
-                    packet,
-                    link,
-                } => {
-                    // In-flight packets to a node that crashed after
-                    // transmit are discarded at its dead NIC.
-                    if !shared.node_up[node.0] {
-                        self.counters.record_pkt_dropped_node_down();
-                        continue;
-                    }
-                    let class = PacketClass::classify(&packet);
-                    self.counters.record_rx(link, class, packet.len());
-                    self.dispatch(shared, node, EPOCH_EVENT, Some(cause), |nb, ctx| {
-                        nb.on_packet(ctx, iface, &packet)
-                    });
-                    if let (Some(p), Some(t0)) = (&mut self.prof, t0) {
-                        p.deliver_events += 1;
-                        p.deliver_nanos += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                Event::Timer { node, token } => {
-                    // Belt-and-braces: crash_node cancels the node's
-                    // timers eagerly, but a script could still arm one
-                    // against a down node via call_node.
-                    if !shared.node_up[node.0] {
-                        self.counters.record_timer_cancelled_node_down();
-                        continue;
-                    }
-                    self.counters.record_timer_fired();
-                    self.dispatch(shared, node, EPOCH_EVENT, Some(cause), |nb, ctx| {
-                        ctx.emit(node, || telemetry::Event::TimerFired { token });
-                        nb.on_timer(ctx, token);
-                    });
-                    if let (Some(p), Some(t0)) = (&mut self.prof, t0) {
-                        p.timer_events += 1;
-                        p.timer_nanos += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-            }
-        }
-        n
-    }
-}
-
 /// The per-callback view of the world handed to [`Node`] implementations.
 pub struct Ctx<'a> {
-    region: &'a mut Region,
-    shared: &'a Shared,
+    world: &'a mut World,
     node: NodeIdx,
-    slot: usize,
     /// The dispatch's canonical identity tag (`emit == 0`).
     tag: Tag,
     /// Emission counter: 1-based `emit` component for created events.
@@ -712,7 +443,7 @@ pub struct Ctx<'a> {
 impl<'a> Ctx<'a> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.region.now
+        self.world.now
     }
 
     /// The index of the node being called.
@@ -722,20 +453,20 @@ impl<'a> Ctx<'a> {
 
     /// Number of interfaces this node has.
     pub fn iface_count(&self) -> usize {
-        self.shared.ifaces[self.node.0].len()
+        self.world.ifaces[self.node.0].len()
     }
 
-    /// Emit a structured telemetry event on behalf of `node` into the
-    /// region buffer. The closure runs only when a sink is attached, so
-    /// the disabled path never constructs (or allocates for) the event.
+    /// Emit a structured telemetry event on behalf of `node`. The
+    /// closure runs only when a sink is attached, so the disabled path
+    /// never constructs (or allocates for) the event.
     #[inline]
     fn emit(&mut self, node: NodeIdx, f: impl FnOnce() -> telemetry::Event) {
-        if let Some(buf) = &self.region.buf {
+        if let Some(stamp) = &self.world.stamp {
             let ev = f();
             use telemetry::Sink as _;
-            buf.lock().expect("region buffer poisoned").event(
+            stamp.lock().expect("telemetry stamp poisoned").event(
                 node.0 as u32,
-                self.region.now.ticks(),
+                self.world.now.ticks(),
                 &ev,
             );
         }
@@ -753,51 +484,16 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Schedule a delivery, locally or via the cross-region outbox.
-    fn schedule_deliver(
-        &mut self,
-        due: SimTime,
-        node: NodeIdx,
-        iface: IfaceId,
-        packet: Arc<[u8]>,
-        link: LinkId,
-    ) {
-        let tag = self.next_tag(due);
-        let dst = self.shared.region_of[node.0];
-        if dst == self.region.id {
-            let _ = self.region.push_event(
-                tag,
-                self.tag,
-                Event::Deliver {
-                    node,
-                    iface,
-                    packet,
-                    link,
-                },
-            );
-        } else {
-            self.region.outbox.push(Outgoing {
-                dst,
-                tag,
-                cause: self.tag,
-                node,
-                iface,
-                packet,
-                link,
-            });
-        }
-    }
-
     /// Transmit `packet` out of `(node, iface)`: schedule deliveries to
     /// all other attachments of the link after its propagation delay,
     /// applying the link's loss probability independently per receiver.
     /// All rolls come from the *sender's* RNG stream, during the
-    /// sender's own dispatch — which is what keeps impairments a pure
-    /// function of the seed regardless of how receivers are partitioned.
+    /// sender's own dispatch — which keeps impairments a pure function
+    /// of the seed and the sender's history.
     fn transmit(&mut self, iface: IfaceId, packet: Vec<u8>) {
         let from = self.node;
-        let link_id = self.shared.ifaces[from.0][iface.index()];
-        let link = &self.shared.links[link_id.0];
+        let link_id = self.world.ifaces[from.0][iface.index()];
+        let link = &self.world.links[link_id.0];
         if !link.up {
             return;
         }
@@ -818,13 +514,9 @@ impl<'a> Ctx<'a> {
         if !cap.is_unlimited() && !priority_bypass {
             let len = packet.len() as u64;
             let rate = cap.bytes_per_tick;
-            let now = self.region.now;
+            let now = self.world.now;
             let (dropped, backlog, marked, new_peak) = {
-                let q = self
-                    .region
-                    .tx_queues
-                    .entry((link_id.0, from.0))
-                    .or_default();
+                let q = self.world.tx_queues.entry((link_id.0, from.0)).or_default();
                 let elapsed = now.ticks().saturating_sub(q.last.ticks());
                 q.backlog = q.backlog.saturating_sub(elapsed.saturating_mul(rate));
                 q.last = now;
@@ -847,7 +539,7 @@ impl<'a> Ctx<'a> {
             if dropped {
                 // Tail drop at the sender: the packet never reaches the
                 // wire — no tx accounting, no capture, no deliveries.
-                self.region.counters.record_queue_drop(link_id, class);
+                self.world.counters.record_queue_drop(link_id, class);
                 let what = match class {
                     PacketClass::Control => "ctrl",
                     PacketClass::Data => "data",
@@ -858,11 +550,11 @@ impl<'a> Ctx<'a> {
                 });
                 return;
             }
-            self.region
+            self.world
                 .counters
                 .record_queue_depth(link_id, backlog, cap.queue_bytes);
             if marked {
-                self.region.counters.record_ecn_mark(link_id);
+                self.world.counters.record_ecn_mark(link_id);
                 self.emit(from, || telemetry::Event::EcnMark {
                     link: link_id.0 as u32,
                 });
@@ -874,33 +566,32 @@ impl<'a> Ctx<'a> {
                 });
             }
             // Ceil division: a partially serialized packet occupies the
-            // wire for the whole remaining tick. The delay is strictly
-            // positive (backlog now includes this packet), so capacity
-            // can only push deliveries later — the conservative
-            // cross-region lookahead bound still holds.
+            // wire for the whole remaining tick. Queueing can only push
+            // deliveries later, never earlier.
             qdelay = Duration(backlog.div_ceil(rate));
         }
-        self.region
+        let now = self.world.now;
+        self.world
             .counters
-            .record_tx(link_id, class, proto, packet.len(), self.region.now);
-        if let Some(limit) = self.shared.capture_limit {
+            .record_tx(link_id, class, proto, packet.len(), now);
+        if let Some(limit) = self.world.capture_limit {
             if limit > 0 {
-                let cs = self.region.cap_seq;
-                self.region.cap_seq += 1;
-                let cap = &mut self.region.capture;
+                let cs = self.world.cap_seq;
+                self.world.cap_seq += 1;
+                let cap = &mut self.world.capture;
                 // Keep the canonically-*smallest* `limit` records, not the
-                // first-inserted: same-tick dispatch tags are keyed by the
-                // receiving node and can invert relative to heap (event-tag)
-                // order, so insertion order is not canonical order even
-                // within one region. Bounded replacement preserves the
-                // invariant `captured()` relies on.
+                // first-inserted: a script's node calls run before the
+                // heap's dispatches of the same tick whatever their tags,
+                // so insertion order is not canonical order. Bounded
+                // replacement preserves the invariant `captured()` relies
+                // on.
                 let full = cap.len() >= limit;
                 let evict = if full {
                     let (i, (t, c, _)) = cap
                         .iter()
                         .enumerate()
                         .max_by_key(|(_, (t, c, _))| (*t, *c))
-                        .expect("non-empty capture shard");
+                        .expect("non-empty capture");
                     if (self.tag, cs) < (*t, *c) {
                         Some(i)
                     } else {
@@ -911,7 +602,7 @@ impl<'a> Ctx<'a> {
                 };
                 if !full || evict.is_some() {
                     let rec = CaptureRecord {
-                        at: self.region.now,
+                        at: now,
                         link: link_id,
                         from,
                         summary: crate::trace::describe_packet(&packet),
@@ -923,28 +614,28 @@ impl<'a> Ctx<'a> {
                 }
             }
         }
-        let delay = link.delay;
+        let link = &self.world.links[link_id.0];
         let loss = link.loss;
         let chan = link.channel;
         let n_att = link.attachments.len();
-        let at = self.region.now + delay + qdelay;
+        let at = now + link.delay + qdelay;
         // One shared buffer for the whole fan-out; each delivery below is
         // a refcount bump, not a copy of the packet bytes. Attachments are
-        // walked by index (re-reading the shared link each step) so the
-        // fan-out allocates nothing beyond the Arc itself — collecting the
+        // walked by index (re-reading the link each step) so the fan-out
+        // allocates nothing beyond the Arc itself — collecting the
         // destination list first cost a Vec per transmit on the hot path.
         let packet: Arc<[u8]> = packet.into();
         for ai in 0..n_att {
-            let (n, i) = self.shared.links[link_id.0].attachments[ai];
+            let (n, i) = self.world.links[link_id.0].attachments[ai];
             if (n, i) == (from, iface) {
                 continue;
             }
-            if !self.shared.node_up[n.0] {
-                self.region.counters.record_pkt_dropped_node_down();
+            if !self.world.node_up[n.0] {
+                self.world.counters.record_pkt_dropped_node_down();
                 continue;
             }
-            if loss > 0.0 && self.region.rngs[self.slot].gen::<f64>() < loss {
-                self.region.counters.record_loss(link_id);
+            if loss > 0.0 && self.rng().gen::<f64>() < loss {
+                self.world.counters.record_loss(link_id);
                 continue;
             }
             // Adversarial channel: per-receiver rolls in a fixed order
@@ -952,52 +643,54 @@ impl<'a> Ctx<'a> {
             // a pure function of the seed. Each roll happens only when its
             // probability is nonzero — a clean channel consumes no
             // randomness and pre-existing traces stay byte-identical.
-            let copies = if chan.duplicate_pm > 0
-                && self.region.rngs[self.slot].gen_range(0..1000) < chan.duplicate_pm
-            {
-                self.region.counters.record_duplicated(link_id);
-                self.emit(n, || telemetry::Event::ChannelImpaired {
-                    what: "duplicate",
-                    link: link_id.0 as u32,
-                });
-                2
-            } else {
-                1
-            };
+            let copies =
+                if chan.duplicate_pm > 0 && self.rng().gen_range(0..1000) < chan.duplicate_pm {
+                    self.world.counters.record_duplicated(link_id);
+                    self.emit(n, || telemetry::Event::ChannelImpaired {
+                        what: "duplicate",
+                        link: link_id.0 as u32,
+                    });
+                    2
+                } else {
+                    1
+                };
             for _ in 0..copies {
                 let mut copy = packet.clone();
                 let mut due = at;
-                if chan.corrupt_pm > 0
-                    && self.region.rngs[self.slot].gen_range(0..1000) < chan.corrupt_pm
-                {
+                if chan.corrupt_pm > 0 && self.rng().gen_range(0..1000) < chan.corrupt_pm {
                     // Flip one random bit of one random byte. The shared
                     // Arc must never be mutated (other receivers see the
                     // same buffer), so the corrupted copy gets its own
                     // private allocation.
                     let mut bytes = copy.to_vec();
                     if !bytes.is_empty() {
-                        let idx = self.region.rngs[self.slot].gen_range(0..bytes.len());
-                        let bit = 1u8 << self.region.rngs[self.slot].gen_range(0..8u32);
+                        let idx = self.rng().gen_range(0..bytes.len());
+                        let bit = 1u8 << self.rng().gen_range(0..8u32);
                         bytes[idx] ^= bit;
                     }
                     copy = bytes.into();
-                    self.region.counters.record_corrupted(link_id);
+                    self.world.counters.record_corrupted(link_id);
                     self.emit(n, || telemetry::Event::ChannelImpaired {
                         what: "corrupt",
                         link: link_id.0 as u32,
                     });
                 }
-                if chan.reorder_pm > 0
-                    && self.region.rngs[self.slot].gen_range(0..1000) < chan.reorder_pm
-                {
-                    due += Duration(self.region.rngs[self.slot].gen_range(1..=chan.jitter.max(1)));
-                    self.region.counters.record_reordered(link_id);
+                if chan.reorder_pm > 0 && self.rng().gen_range(0..1000) < chan.reorder_pm {
+                    due += Duration(self.rng().gen_range(1..=chan.jitter.max(1)));
+                    self.world.counters.record_reordered(link_id);
                     self.emit(n, || telemetry::Event::ChannelImpaired {
                         what: "reorder",
                         link: link_id.0 as u32,
                     });
                 }
-                self.schedule_deliver(due, n, i, copy, link_id);
+                let tag = self.next_tag(due);
+                let ev = Event::Deliver {
+                    node: n,
+                    iface: i,
+                    packet: copy,
+                    link: link_id,
+                };
+                self.world.push_event(tag, self.tag, ev);
             }
         }
     }
@@ -1013,21 +706,21 @@ impl<'a> Ctx<'a> {
 
     /// Arrange for [`Node::on_timer`] to be called with `token` after `d`.
     pub fn set_timer(&mut self, d: Duration, token: u64) -> TimerId {
-        self.set_timer_at(self.region.now + d, token)
+        self.set_timer_at(self.world.now + d, token)
     }
 
     /// Arrange for [`Node::on_timer`] to be called with `token` at absolute
     /// time `at` (clamped to now: a past deadline fires this instant, after
     /// the current event). Returns a handle for [`Ctx::cancel_timer`].
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) -> TimerId {
-        let at = at.max(self.region.now);
+        let at = at.max(self.world.now);
         let me = self.node;
         self.emit(me, || telemetry::Event::TimerArmed {
             token,
             deadline: at.ticks(),
         });
         let tag = self.next_tag(at);
-        self.region
+        self.world
             .push_event(tag, self.tag, Event::Timer { node: me, token })
     }
 
@@ -1037,7 +730,7 @@ impl<'a> Ctx<'a> {
     /// heap entry stays behind and is skipped — and counted as stale — when
     /// popped.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        let Some(s) = self.region.events.get(id.slot) else {
+        let Some(s) = self.world.events.get(id.slot) else {
             return false;
         };
         if s.gen != id.gen {
@@ -1045,7 +738,7 @@ impl<'a> Ctx<'a> {
         }
         match s.ev {
             Some(Event::Timer { node, token }) if node == self.node => {
-                self.region.vacate(id.slot);
+                self.world.vacate(id.slot);
                 let me = self.node;
                 self.emit(me, || telemetry::Event::TimerCancelled { token });
                 true
@@ -1057,28 +750,28 @@ impl<'a> Ctx<'a> {
     /// Seeded randomness for protocol jitter (e.g. IGMP report delays).
     /// Each node draws from its own stream — a pure function of the world
     /// seed and the node index — so one node's draws can never perturb
-    /// another's, whatever the partition.
+    /// another's.
     pub fn rng(&mut self) -> &mut impl Rng {
-        &mut self.region.rngs[self.slot]
+        &mut self.world.rngs[self.node.0]
     }
 
     /// Is the link behind `iface` currently up?
     pub fn iface_up(&self, iface: IfaceId) -> bool {
-        let link = self.shared.ifaces[self.node.0][iface.index()];
-        self.shared.links[link.0].up
+        let link = self.world.ifaces[self.node.0][iface.index()];
+        self.world.links[link.0].up
     }
 
     /// Record that a data packet was delivered to a locally attached group
     /// member (for the experiment counters).
     pub fn count_local_delivery(&mut self) {
-        self.region.counters.record_local_delivery(self.node);
+        self.world.counters.record_local_delivery(self.node);
     }
 
     /// Record that a received payload failed to decode and was dropped
     /// (see [`crate::Counters::total_decode_failures`]), emitting one
     /// telemetry [`telemetry::Event::DecodeFailed`] mark.
     pub fn count_decode_failure(&mut self, iface: IfaceId, kind: &'static str) {
-        self.region.counters.record_decode_failure(self.node);
+        self.world.counters.record_decode_failure(self.node);
         let me = self.node;
         self.emit(me, || telemetry::Event::DecodeFailed {
             kind,
@@ -1087,10 +780,9 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// A scheduled script, ordered by `(at, seq)` — scripts live in a
-/// world-level queue on the main thread (their closures mutate the whole
-/// world, so they are natural barriers) and all scripts at tick `t` run
-/// before any node event at tick `t`.
+/// A scheduled script, ordered by `(at, seq)`. Scripts live in their own
+/// queue (their closures mutate the whole world) and all scripts at tick
+/// `t` run before any node event at tick `t`.
 struct ScriptEntry {
     at: SimTime,
     seq: u64,
@@ -1123,30 +815,50 @@ impl Ord for ScriptEntry {
 
 /// The simulation world.
 pub struct World {
-    regions: Vec<Region>,
-    shared: Shared,
+    /// Nodes by index; a node is taken out while its callback runs.
+    nodes: Vec<Option<Box<dyn Node>>>,
+    rngs: Vec<StdRng>,
+    /// Per-node dispatch counter: the `seq` component of canonical tags.
+    dispatch_seq: Vec<u64>,
+    /// node_up[node.0]: false while the node is crashed. Down nodes get no
+    /// deliveries and no timer callbacks.
+    node_up: Vec<bool>,
+    links: Vec<Link>,
+    /// ifaces[node.0][iface.0] = link the interface attaches to.
+    ifaces: Vec<Vec<LinkId>>,
+    heap: BinaryHeap<Reverse<Due>>,
+    /// Event arena, indexed by the slot carried in the heap. Slots are
+    /// vacated (and recycled via `free`) as events fire or are cancelled,
+    /// so memory is bounded by *outstanding* events, not events ever
+    /// scheduled.
+    events: Vec<EventSlot>,
+    /// Vacated arena slots available for reuse.
+    free: Vec<usize>,
+    counters: Counters,
+    /// Capacity-model queue state, keyed `(link, sending node)`. Only
+    /// populated for links with a [`LinkCapacity`] configured; an
+    /// unlimited link never touches it.
+    tx_queues: std::collections::HashMap<(usize, usize), TxDir>,
+    /// Packet capture limit, `Some(limit)` when enabled.
+    capture_limit: Option<usize>,
+    /// Captured transmissions: `(dispatch tag, capture seq, record)`.
+    capture: Vec<(Tag, u64, CaptureRecord)>,
+    cap_seq: u64,
     scripts: BinaryHeap<ScriptEntry>,
     script_seq: u64,
-    /// Counter shard for world-level dispatches (scripts).
-    world_counters: Counters,
-    telem: Option<telemetry::SharedSink>,
+    /// Telemetry, `Some` once a sink is attached.
+    stamp: Option<Arc<Mutex<Stamp>>>,
     seed: u64,
-    threads: usize,
-    /// Conservative lookahead: `Some(min cross-region link delay)` when
-    /// more than one region and at least one cross link; `None` means
-    /// windows are unbounded (single region, or no cross traffic).
-    lookahead: Option<Duration>,
     started: bool,
     now: SimTime,
     /// Identity tag of the script currently executing, if any: the
-    /// causal root for fault marks and for every barrier dispatch the
-    /// script performs.
+    /// causal root for fault marks and for every node call the script
+    /// performs.
     cur_script: Option<Tag>,
-    /// Whether per-region wall-clock/event attribution is collected
-    /// (see [`World::enable_profile`]).
-    profile: bool,
-    prof_windows: u64,
-    prof_barrier_nanos: u64,
+    /// Event-count and wall-clock attribution, `Some` when profiling
+    /// (see [`World::enable_profile`]). Only the profiler reads
+    /// wall-clock; nothing inside the simulation ever does.
+    profile: Option<SimProfile>,
 }
 
 impl Default for World {
@@ -1159,28 +871,28 @@ impl World {
     /// Create an empty world whose RNG streams derive from `seed`.
     pub fn new(seed: u64) -> World {
         World {
-            regions: vec![Region::new(0)],
-            shared: Shared {
-                links: Vec::new(),
-                ifaces: Vec::new(),
-                node_up: Vec::new(),
-                region_of: Vec::new(),
-                slot_of: Vec::new(),
-                capture_limit: None,
-            },
+            nodes: Vec::new(),
+            rngs: Vec::new(),
+            dispatch_seq: Vec::new(),
+            node_up: Vec::new(),
+            links: Vec::new(),
+            ifaces: Vec::new(),
+            heap: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
+            counters: Counters::default(),
+            tx_queues: std::collections::HashMap::new(),
+            capture_limit: None,
+            capture: Vec::new(),
+            cap_seq: 0,
             scripts: BinaryHeap::new(),
             script_seq: 0,
-            world_counters: Counters::default(),
-            telem: None,
+            stamp: None,
             seed,
-            threads: 1,
-            lookahead: None,
             started: false,
             now: SimTime::ZERO,
             cur_script: None,
-            profile: false,
-            prof_windows: 0,
-            prof_barrier_nanos: 0,
+            profile: None,
         }
     }
 
@@ -1189,133 +901,65 @@ impl World {
         self.now
     }
 
-    /// Add a node; returns its index. New nodes land in region 0 until
-    /// [`World::set_partition`]/[`World::parallelize`] reassigns them.
+    /// Add a node; returns its index.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeIdx {
         assert!(!self.started, "cannot add nodes after start");
-        let idx = self.shared.region_of.len();
-        let r = &mut self.regions[0];
-        self.shared.region_of.push(0);
-        self.shared.slot_of.push(r.nodes.len() as u32);
-        r.nodes.push(Some(node));
-        r.rngs.push(StdRng::seed_from_u64(par::mix(
+        let idx = self.nodes.len();
+        self.nodes.push(Some(node));
+        self.rngs.push(StdRng::seed_from_u64(par::mix(
             self.seed,
             NODE_RNG_STREAM,
             idx as u64,
         )));
-        r.dispatch_seq.push(0);
-        self.shared.ifaces.push(Vec::new());
-        self.shared.node_up.push(true);
+        self.dispatch_seq.push(0);
+        self.ifaces.push(Vec::new());
+        self.node_up.push(true);
         NodeIdx(idx)
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.shared.region_of.len()
+        self.nodes.len()
     }
 
-    /// Number of regions in the current partition.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// The conservative lookahead: minimum delay over links whose
-    /// attachments span more than one region (`None` when single-region
-    /// or no link crosses a region boundary).
-    pub fn cross_region_lookahead(&self) -> Option<Duration> {
-        if self.regions.len() <= 1 {
-            return None;
-        }
-        self.shared
-            .links
-            .iter()
-            .filter(|l| {
-                let mut rs = l
-                    .attachments
-                    .iter()
-                    .map(|(n, _)| self.shared.region_of[n.0]);
-                let first = rs.next();
-                rs.any(|r| Some(r) != first)
-            })
-            .map(|l| l.delay)
-            .min()
-    }
-
-    /// Assign every node to a region (`assign[node] = region id`).
-    /// Region ids are renumbered densely by first appearance. Must be
-    /// called before [`World::start`]; the default is one region.
-    ///
-    /// Correctness does not depend on the assignment — any partition
-    /// yields byte-identical results — but *liveness* of the parallel
-    /// windows requires every cross-region link to have delay ≥ 1 tick
-    /// (asserted at start).
-    pub fn set_partition(&mut self, assign: &[u32]) {
-        assert!(!self.started, "cannot repartition after start");
-        assert_eq!(
-            assign.len(),
-            self.node_count(),
-            "one region id per node required"
-        );
-        // Densify region ids by first appearance.
-        let mut lut: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        let mut next = 0u32;
-        let dense: Vec<u32> = assign
-            .iter()
-            .map(|&a| {
-                *lut.entry(a).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                })
-            })
-            .collect();
-        // Pull every node (and its RNG stream) out in global index order.
-        let mut moved: Vec<(Box<dyn Node>, StdRng)> = Vec::with_capacity(assign.len());
-        for i in 0..assign.len() {
-            let r = &mut self.regions[self.shared.region_of[i] as usize];
-            let slot = self.shared.slot_of[i] as usize;
-            let node = r.nodes[slot].take().expect("node is not mid-callback");
-            let rng = r.rngs[slot].clone();
-            moved.push((node, rng));
-        }
-        // Rebuild the regions.
-        self.regions = (0..next.max(1)).map(Region::new).collect();
-        self.shared.region_of = dense.clone();
-        for (i, (node, rng)) in moved.into_iter().enumerate() {
-            let r = &mut self.regions[dense[i] as usize];
-            self.shared.slot_of[i] = r.nodes.len() as u32;
-            r.nodes.push(Some(node));
-            r.rngs.push(rng);
-            r.dispatch_seq.push(0);
-        }
-        self.lookahead = self.cross_region_lookahead();
-    }
-
-    /// Opt into parallel execution with `threads` workers: runs the
-    /// delay-aware auto-partitioner ([`crate::partition::auto_partition`])
-    /// targeting one region per thread. `threads == 1` keeps the default
-    /// single region (and runs inline with no thread machinery). Results
-    /// are byte-identical for every thread count.
-    pub fn parallelize(&mut self, threads: usize) {
-        assert!(!self.started, "cannot repartition after start");
-        let threads = threads.max(1);
-        self.threads = threads;
-        if threads > 1 && self.node_count() > 1 {
-            let assign =
-                crate::partition::auto_partition(self.node_count(), &self.shared.links, threads);
-            self.set_partition(&assign);
-        }
-    }
+    /// Inert: the world always runs on one event heap, whatever
+    /// `threads` says. It exists only because the frozen benchmark under
+    /// `perfbench/` calls it; no other code should. Parallelism lives at
+    /// trial level (`par::run_trials`).
+    pub fn parallelize(&mut self, _threads: usize) {}
 
     fn attach(&mut self, node: NodeIdx, link: LinkId) -> IfaceId {
-        let ifaces = &mut self.shared.ifaces[node.0];
+        let ifaces = &mut self.ifaces[node.0];
         ifaces.push(link);
         let iface = IfaceId(ifaces.len() as u32 - 1);
-        self.shared.links[link.0].attachments.push((node, iface));
+        self.links[link.0].attachments.push((node, iface));
         iface
     }
 
+    /// Wire up a new link of `kind` joining `nodes`. Every hop takes at
+    /// least one tick: that is what keeps a dispatch's consequences out
+    /// of its own tick at other nodes, and so the heap's dispatch order
+    /// canonical.
+    fn add_link(&mut self, kind: LinkKind, nodes: &[NodeIdx], delay: Duration) -> LinkId {
+        assert!(delay.ticks() >= 1, "link delay must be at least one tick");
+        let id = LinkId(self.links.len());
+        self.links.push(Link {
+            kind,
+            delay,
+            up: true,
+            loss: 0.0,
+            channel: ChannelModel::CLEAN,
+            capacity: LinkCapacity::UNLIMITED,
+            attachments: Vec::new(),
+        });
+        for &n in nodes {
+            self.attach(n, id);
+        }
+        id
+    }
+
     /// Add a point-to-point link; returns `(link, iface at a, iface at b)`.
+    /// Panics if `delay` is under one tick.
     pub fn add_p2p(
         &mut self,
         a: NodeIdx,
@@ -1323,37 +967,109 @@ impl World {
         delay: Duration,
     ) -> (LinkId, IfaceId, IfaceId) {
         assert_ne!(a, b, "p2p link endpoints must differ");
-        let id = LinkId(self.shared.links.len());
-        self.shared.links.push(Link {
-            kind: LinkKind::PointToPoint,
-            delay,
-            up: true,
-            loss: 0.0,
-            channel: ChannelModel::CLEAN,
-            capacity: LinkCapacity::UNLIMITED,
-            attachments: Vec::new(),
-        });
-        let ia = self.attach(a, id);
-        let ib = self.attach(b, id);
-        (id, ia, ib)
+        let id = self.add_link(LinkKind::PointToPoint, &[a, b], delay);
+        let ends = &self.links[id.0].attachments;
+        (id, ends[0].1, ends[1].1)
     }
 
     /// Add a multi-access LAN joining `nodes`; returns the link id and each
-    /// node's new interface, in order.
+    /// node's new interface, in order. Panics if `delay` is under one tick.
     pub fn add_lan(&mut self, nodes: &[NodeIdx], delay: Duration) -> (LinkId, Vec<IfaceId>) {
         assert!(nodes.len() >= 2, "a LAN needs at least two attachments");
-        let id = LinkId(self.shared.links.len());
-        self.shared.links.push(Link {
-            kind: LinkKind::Lan,
-            delay,
-            up: true,
-            loss: 0.0,
-            channel: ChannelModel::CLEAN,
-            capacity: LinkCapacity::UNLIMITED,
-            attachments: Vec::new(),
-        });
-        let ifaces = nodes.iter().map(|&n| self.attach(n, id)).collect();
+        let id = self.add_link(LinkKind::Lan, nodes, delay);
+        let ifaces = self.links[id.0].attachments.iter().map(|a| a.1).collect();
         (id, ifaces)
+    }
+
+    fn push_event(&mut self, tag: Tag, cause: Tag, ev: Event) -> TimerId {
+        let node = ev.node().0;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot].ev = Some(ev);
+                self.events[slot].cause = cause;
+                slot
+            }
+            None => {
+                self.events.push(EventSlot {
+                    gen: 0,
+                    ev: Some(ev),
+                    cause,
+                });
+                self.events.len() - 1
+            }
+        };
+        let gen = self.events[slot].gen;
+        self.heap.push(Reverse(Due {
+            time: tag.time,
+            node,
+            tag,
+            slot,
+            gen,
+        }));
+        TimerId { slot, gen }
+    }
+
+    /// Vacate a slot after its event fired or was cancelled: bump the
+    /// generation (so outstanding handles and heap entries for this tenant
+    /// go stale) and recycle the index. The generation must strictly
+    /// increase across a recycle — if it ever wrapped, a 2^32-events-old
+    /// stale handle could ABA the slot's new tenant.
+    fn vacate(&mut self, slot: usize) -> Event {
+        let s = &mut self.events[slot];
+        let ev = s.ev.take().expect("vacating an empty event slot");
+        let old = s.gen;
+        s.gen = old.wrapping_add(1);
+        debug_assert!(
+            s.gen > old,
+            "event-slot generation wrapped: recycled slot would ABA stale handles"
+        );
+        self.free.push(slot);
+        ev
+    }
+
+    /// Run one node callback under a fresh canonical dispatch tag,
+    /// through the take-call-put dance that lets the node borrow the
+    /// world mutably alongside itself. `cause` is the identity tag of
+    /// the dispatch that created the event being handled (`None` for
+    /// causal roots: `on_start`, and node calls outside any script); it
+    /// stamps every emission and is recorded as one provenance edge even
+    /// when the callback emits nothing.
+    fn dispatch(
+        &mut self,
+        node: NodeIdx,
+        epoch: u8,
+        cause: Option<Tag>,
+        f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
+    ) {
+        let seq = self.dispatch_seq[node.0];
+        self.dispatch_seq[node.0] = seq + 1;
+        let tag = Tag {
+            time: self.now,
+            epoch,
+            origin: node.0 as u32 + 1,
+            seq,
+            emit: 0,
+        };
+        if let Some(stamp) = &self.stamp {
+            let mut s = stamp.lock().expect("telemetry stamp poisoned");
+            s.id = tag;
+            s.cause = cause;
+            s.sink
+                .lock()
+                .expect("sink poisoned")
+                .link(tag.event_id(), cause.map(Tag::event_id));
+        }
+        let mut node_box = self.nodes[node.0].take().expect("node re-entrancy");
+        f(
+            node_box.as_mut(),
+            &mut Ctx {
+                world: self,
+                node,
+                tag,
+                emits: 0,
+            },
+        );
+        self.nodes[node.0] = Some(node_box);
     }
 
     /// Crash `node` with total state loss (§2 robustness: routers "may
@@ -1363,16 +1079,14 @@ impl World {
     /// fires against the corpse, and packets addressed to it are discarded
     /// until [`World::restart_node`]. No-op if the node is already down.
     pub fn crash_node(&mut self, idx: NodeIdx) {
-        if !self.shared.node_up[idx.0] {
+        if !self.node_up[idx.0] {
             return;
         }
-        self.shared.node_up[idx.0] = false;
-        // Eagerly vacate every armed timer owned by the node (timers
-        // always live in the node's own region). The heap entries stay
-        // behind and are skipped as stale when popped; what matters is
-        // that no Timer event can reach a dead node.
-        let r = &mut self.regions[self.shared.region_of[idx.0] as usize];
-        let doomed: Vec<usize> = r
+        self.node_up[idx.0] = false;
+        // Eagerly vacate every armed timer owned by the node. The heap
+        // entries stay behind and are skipped as stale when popped; what
+        // matters is that no Timer event can reach a dead node.
+        let doomed: Vec<usize> = self
             .events
             .iter()
             .enumerate()
@@ -1382,11 +1096,10 @@ impl World {
             })
             .collect();
         for slot in doomed {
-            r.vacate(slot);
-            r.counters.record_timer_cancelled_node_down();
+            self.vacate(slot);
+            self.counters.record_timer_cancelled_node_down();
         }
-        let slot = self.shared.slot_of[idx.0] as usize;
-        if let Some(node) = r.nodes[slot].as_mut() {
+        if let Some(node) = self.nodes[idx.0].as_mut() {
             node.on_crash();
         }
     }
@@ -1395,22 +1108,22 @@ impl World {
     /// [`Node::on_restart`] with whatever static configuration survived
     /// [`Node::on_crash`]. No-op if the node is already up.
     pub fn restart_node(&mut self, idx: NodeIdx) {
-        if self.shared.node_up[idx.0] {
+        if self.node_up[idx.0] {
             return;
         }
-        self.shared.node_up[idx.0] = true;
+        self.node_up[idx.0] = true;
         let cause = self.cur_script;
-        self.dispatch_at_barrier(idx, EPOCH_EVENT, cause, |n, ctx| n.on_restart(ctx));
+        self.dispatch(idx, EPOCH_EVENT, cause, |n, ctx| n.on_restart(ctx));
     }
 
     /// Is `node` currently up (not crashed)?
     pub fn is_node_up(&self, idx: NodeIdx) -> bool {
-        self.shared.node_up[idx.0]
+        self.node_up[idx.0]
     }
 
     /// Take a link up or down (topology-change injection).
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.shared.links[link.0].up = up;
+        self.links[link.0].up = up;
     }
 
     /// Set a link's independent per-receiver drop probability — a
@@ -1424,18 +1137,17 @@ impl World {
         } else {
             loss.clamp(0.0, 1.0)
         };
-        self.shared.links[link.0].loss = loss;
+        self.links[link.0].loss = loss;
     }
 
     /// Install (or, with [`LinkCapacity::UNLIMITED`], remove) the
     /// deterministic bandwidth/queue model on a link. Both directions get
     /// the same configuration but independent queues. Like every fault
-    /// knob, this is barrier-mutated state: call it from scripts or
-    /// between runs, never from inside a node callback. Queue state
-    /// already accumulated on the link survives a reconfiguration; an
-    /// unlimited link simply stops consulting it.
+    /// knob, this is for scripts or between runs, never for node
+    /// callbacks. Queue state already accumulated on the link survives a
+    /// reconfiguration; an unlimited link simply stops consulting it.
     pub fn set_link_capacity(&mut self, link: LinkId, cap: LinkCapacity) {
-        self.shared.links[link.0].capacity = cap;
+        self.links[link.0].capacity = cap;
     }
 
     /// Install an adversarial [`ChannelModel`] on a link (corruption,
@@ -1445,38 +1157,28 @@ impl World {
         assert!(channel.corrupt_pm <= 1000, "corrupt_pm is per-mille");
         assert!(channel.duplicate_pm <= 1000, "duplicate_pm is per-mille");
         assert!(channel.reorder_pm <= 1000, "reorder_pm is per-mille");
-        self.shared.links[link.0].channel = channel;
+        self.links[link.0].channel = channel;
     }
 
     /// Link metadata.
     pub fn link(&self, link: LinkId) -> &Link {
-        &self.shared.links[link.0]
+        &self.links[link.0]
     }
 
     /// Number of links.
     pub fn link_count(&self) -> usize {
-        self.shared.links.len()
+        self.links.len()
     }
 
-    /// Overhead counters collected so far: the world shard (script
-    /// dispatches) merged with every region shard. The merge is
-    /// associative and order-independent (see `Counters::merge`), so the
-    /// totals are identical for any partition.
+    /// Overhead counters collected so far.
     pub fn counters(&self) -> Counters {
-        let mut total = self.world_counters.clone();
-        for r in &self.regions {
-            total.merge(&r.counters);
-        }
-        total
+        self.counters.clone()
     }
 
     /// Reset the overhead counters (e.g. after protocol warm-up, so an
     /// experiment measures steady state only).
     pub fn reset_counters(&mut self) {
-        self.world_counters = Counters::default();
-        for r in &mut self.regions {
-            r.counters = Counters::default();
-        }
+        self.counters = Counters::default();
     }
 
     /// Attach a structured-event sink for all telemetry: the world's own
@@ -1485,45 +1187,40 @@ impl World {
     /// protocol events. Telemetry only observes: it consumes no
     /// randomness and takes no behavioral branches, so packet traces
     /// are identical with or without a sink. Events reach `sink` in
-    /// canonical event order, whatever the partition or thread count.
+    /// canonical dispatch order, each stamped with its dispatch's
+    /// provenance.
     pub fn set_telemetry(&mut self, sink: telemetry::SharedSink) {
         assert!(!self.started, "attach telemetry before start");
-        self.telem = Some(sink);
+        self.stamp = Some(Arc::new(Mutex::new(Stamp {
+            sink,
+            id: Tag::default(),
+            cause: None,
+        })));
     }
 
-    /// Collect per-region wall-clock and event-count attribution (see
-    /// [`crate::profile::SimProfile`]). Profiling is the one place the
-    /// simulator reads wall-clock time; it observes only — the event
-    /// order, RNG streams, and every deterministic output are untouched.
-    /// Must be called before [`World::start`].
+    /// Collect event-count and wall-clock attribution (see
+    /// [`SimProfile`]). Profiling is the one place the simulator reads
+    /// wall-clock time; it observes only — the event order, RNG streams,
+    /// and every deterministic output are untouched. Must be called
+    /// before [`World::start`].
     pub fn enable_profile(&mut self) {
         assert!(!self.started, "enable profiling before start");
-        self.profile = true;
+        self.profile = Some(SimProfile::default());
     }
 
     /// The attribution profile collected so far, `None` unless
     /// [`World::enable_profile`] was called. Event counts are
     /// deterministic; nanosecond attributions are wall-clock and vary
     /// run to run (never put them in a fingerprint).
-    pub fn profile(&self) -> Option<crate::profile::SimProfile> {
-        if !self.profile {
-            return None;
-        }
-        Some(crate::profile::SimProfile {
-            regions: self.regions.iter().filter_map(|r| r.prof.clone()).collect(),
-            windows: self.prof_windows,
-            barrier_nanos: self.prof_barrier_nanos,
-            script_dispatches: self.world_counters.events_dispatched(),
-        })
+    pub fn profile(&self) -> Option<SimProfile> {
+        self.profile.clone()
     }
 
     /// Emit one telemetry event on behalf of `node` (no-op when no sink
     /// is attached). Scenario scripts use this to mark injected faults
-    /// so sinks can measure post-fault reconvergence. Only callable at
-    /// barriers (scripts run on the main thread), where region buffers
-    /// are already flushed, so direct writes stay in canonical order.
+    /// so sinks can measure post-fault reconvergence.
     pub fn emit_event(&mut self, node: NodeIdx, ev: telemetry::Event) {
-        if let Some(sink) = &self.telem {
+        if let Some(stamp) = &self.stamp {
             // The emitting script's identity is the causal root the
             // event hangs off (fault marks are exactly what
             // `CausalIndex::forward_slice` starts from). Outside any
@@ -1536,7 +1233,8 @@ impl World {
                 seq: u64::MAX,
                 emit: 0,
             });
-            let mut s = sink.lock().expect("sink poisoned");
+            let stamp = stamp.lock().expect("telemetry stamp poisoned");
+            let mut s = stamp.sink.lock().expect("sink poisoned");
             s.link(id.event_id(), None);
             s.event_caused(
                 node.0 as u32,
@@ -1554,38 +1252,25 @@ impl World {
     /// Records up to `limit` packets (time, link, sender, human-readable
     /// decode) from now on; calling again clears the buffer.
     pub fn enable_capture(&mut self, limit: usize) {
-        self.shared.capture_limit = Some(limit);
-        for r in &mut self.regions {
-            r.capture.clear();
-            r.cap_seq = 0;
-        }
+        self.capture_limit = Some(limit);
+        self.capture.clear();
+        self.cap_seq = 0;
     }
 
-    /// The packets captured so far (empty if capture was never enabled),
-    /// merged across region shards in canonical transmit order and
-    /// truncated to the capture limit. Each region keeps the `limit`
-    /// canonically-smallest records it saw, so any record in the true
-    /// global first-`limit` (whose region-local rank can only be lower)
-    /// is guaranteed to be present in some shard — truncation after the
-    /// merge is exact, not partition-dependent.
+    /// The packets captured so far (empty if capture was never enabled):
+    /// the canonically-first `limit` transmissions, in canonical order.
     pub fn captured(&self) -> Vec<CaptureRecord> {
-        let limit = match self.shared.capture_limit {
-            Some(l) => l,
-            None => return Vec::new(),
-        };
-        let mut all: Vec<&(Tag, u64, CaptureRecord)> =
-            self.regions.iter().flat_map(|r| r.capture.iter()).collect();
+        if self.capture_limit.is_none() {
+            return Vec::new();
+        }
+        let mut all: Vec<&(Tag, u64, CaptureRecord)> = self.capture.iter().collect();
         all.sort_by_key(|(tag, cs, _)| (*tag, *cs));
-        all.into_iter()
-            .take(limit)
-            .map(|(_, _, r)| r.clone())
-            .collect()
+        all.into_iter().map(|(_, _, r)| r.clone()).collect()
     }
 
     /// Schedule an arbitrary scripted action (host joins a group, link
-    /// fails, ...) at absolute time `at`. Scripts are barriers: all
-    /// scripts at tick `t` run (in scheduling order) before any node
-    /// event at tick `t`.
+    /// fails, ...) at absolute time `at`. All scripts at tick `t` run (in
+    /// scheduling order) before any node event at tick `t`.
     pub fn at(&mut self, at: SimTime, f: impl FnOnce(&mut World) + 'static) {
         assert!(at >= self.now, "cannot schedule in the past");
         self.script_seq += 1;
@@ -1602,8 +1287,7 @@ impl World {
     /// Panics if the node is of a different type (a test bug, not a runtime
     /// condition).
     pub fn node<T: 'static>(&self, idx: NodeIdx) -> &T {
-        self.regions[self.shared.region_of[idx.0] as usize].nodes
-            [self.shared.slot_of[idx.0] as usize]
+        self.nodes[idx.0]
             .as_ref()
             .expect("node is not mid-callback")
             .as_any()
@@ -1613,36 +1297,12 @@ impl World {
 
     /// Mutable access to a node, downcast to its concrete type.
     pub fn node_mut<T: 'static>(&mut self, idx: NodeIdx) -> &mut T {
-        self.regions[self.shared.region_of[idx.0] as usize].nodes
-            [self.shared.slot_of[idx.0] as usize]
+        self.nodes[idx.0]
             .as_mut()
             .expect("node is not mid-callback")
             .as_any_mut()
             .downcast_mut()
             .expect("node type mismatch")
-    }
-
-    /// Run one node callback at a barrier (scripts, start, restart): the
-    /// owning region's clock is pulled up to world time, the dispatch
-    /// runs inline on the main thread, any cross-region events it
-    /// creates are routed immediately, and its telemetry is flushed so
-    /// the stream stays in canonical order around direct
-    /// [`World::emit_event`] writes.
-    fn dispatch_at_barrier(
-        &mut self,
-        idx: NodeIdx,
-        epoch: u8,
-        cause: Option<Tag>,
-        f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
-    ) {
-        let rid = self.shared.region_of[idx.0] as usize;
-        let now = self.now;
-        let region = &mut self.regions[rid];
-        debug_assert!(region.now <= now, "region ahead of barrier time");
-        region.now = now;
-        region.dispatch(&self.shared, idx, epoch, cause, f);
-        self.route_mail();
-        self.flush_telemetry();
     }
 
     /// Invoke a node's [`Node::on_timer`]-style entry from scripted events,
@@ -1651,257 +1311,168 @@ impl World {
     /// scripted poke sets in motion traces back to the script.
     pub fn call_node(&mut self, idx: NodeIdx, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>)) {
         let cause = self.cur_script;
-        self.dispatch_at_barrier(idx, EPOCH_EVENT, cause, f);
+        self.dispatch(idx, EPOCH_EVENT, cause, f);
     }
 
     /// Deliver `on_start` to every node (idempotent; called automatically by
     /// the run methods). With telemetry attached, this is also where every
-    /// node receives its per-region buffered [`telemetry::Telem`] handle.
+    /// node receives its [`telemetry::Telem`] handle.
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        self.lookahead = self.cross_region_lookahead();
-        if self.regions.len() > 1 {
-            if let Some(l) = self.lookahead {
-                assert!(
-                    l.ticks() >= 1,
-                    "cross-region links must have delay >= 1 tick (conservative lookahead)"
-                );
-            }
-        }
-        if self.telem.is_some() {
-            for r in &mut self.regions {
-                let buf = Arc::new(Mutex::new(RegionBuf::default()));
-                r.buf = Some(Arc::clone(&buf));
-            }
-            for i in 0..self.node_count() {
-                let rid = self.shared.region_of[i] as usize;
-                let buf = self.regions[rid].buf.as_ref().expect("buffer just created");
-                let sink: telemetry::SharedSink = Arc::clone(buf) as telemetry::SharedSink;
-                let slot = self.shared.slot_of[i] as usize;
-                self.regions[rid].nodes[slot]
-                    .as_mut()
+        if let Some(stamp) = &self.stamp {
+            for (i, node) in self.nodes.iter_mut().enumerate() {
+                let sink: telemetry::SharedSink = Arc::clone(stamp) as telemetry::SharedSink;
+                node.as_mut()
                     .expect("node is not mid-callback")
                     .set_telemetry(telemetry::Telem::attached(sink, i as u32));
             }
         }
-        if self.profile {
-            for r in &mut self.regions {
-                r.prof = Some(crate::profile::RegionProfile::new(r.id));
-            }
-        }
         for i in 0..self.node_count() {
-            self.dispatch_at_barrier(NodeIdx(i), EPOCH_START, None, |n, ctx| n.on_start(ctx));
+            self.dispatch(NodeIdx(i), EPOCH_START, None, |n, ctx| n.on_start(ctx));
         }
     }
 
-    /// The earliest pending region-event time across all regions.
-    fn min_event_time(&self) -> Option<SimTime> {
-        self.regions
-            .iter()
-            .filter_map(|r| r.heap.peek().map(|Reverse((tag, _, _))| tag.time))
-            .min()
+    /// Pop and run the earliest script.
+    fn run_script(&mut self) {
+        let entry = self.scripts.pop().expect("no script to run");
+        self.counters.record_dispatch();
+        // The script's canonical identity: the causal root for the fault
+        // marks it emits and the node calls it performs. Scripts execute
+        // in (time, seq) order, which is exactly tag order.
+        self.cur_script = Some(Tag {
+            time: entry.at,
+            epoch: EPOCH_SCRIPT,
+            origin: 0,
+            seq: entry.seq,
+            emit: 0,
+        });
+        (entry.f)(self);
+        self.cur_script = None;
     }
 
-    /// Drain every region's outbox into the destination regions' heaps.
-    /// Order is irrelevant: heaps order by the canonical tag.
-    fn route_mail(&mut self) {
-        let mut mail: Vec<Outgoing> = Vec::new();
-        for r in &mut self.regions {
-            mail.append(&mut r.outbox);
-        }
-        for m in mail {
-            let _ = self.regions[m.dst as usize].push_event(
-                m.tag,
-                m.cause,
-                Event::Deliver {
-                    node: m.node,
-                    iface: m.iface,
-                    packet: m.packet,
-                    link: m.link,
-                },
-            );
-        }
-    }
-
-    /// Merge all region telemetry buffers into the user sink in
-    /// canonical `(tag, idx)` order and clear them. Called at every
-    /// barrier, so each flushed batch covers a disjoint slice of the
-    /// canonical order and concatenation preserves it.
-    fn flush_telemetry(&mut self) {
-        let Some(sink) = &self.telem else {
-            return;
-        };
-        let mut batch: Vec<BufEntry> = Vec::new();
-        let mut links: Vec<(Tag, Option<Tag>)> = Vec::new();
-        for r in &self.regions {
-            if let Some(buf) = &r.buf {
-                let mut guard = buf.lock().expect("region buffer poisoned");
-                batch.append(&mut guard.entries);
-                links.append(&mut guard.links);
+    /// Dispatch heap events due strictly before `bound`, at most `budget`
+    /// heap pops (stale skips included). Returns the pops.
+    fn run_events(&mut self, bound: SimTime, budget: usize) -> usize {
+        let mut n = 0;
+        while n < budget {
+            match self.heap.peek() {
+                Some(Reverse(due)) if due.time < bound => {}
+                _ => break,
             }
-        }
-        if batch.is_empty() && links.is_empty() {
-            return;
-        }
-        batch.sort_by_key(|a| (a.tag, a.idx));
-        links.sort_unstable();
-        let mut s = sink.lock().expect("sink poisoned");
-        // Provenance edges first (every dispatch, silent ones included),
-        // then the events themselves; both in canonical order, so the
-        // stream a sink sees is identical for any partition.
-        for (id, cause) in links {
-            s.link(id.event_id(), cause.map(Tag::event_id));
-        }
-        for e in batch {
-            s.event_caused(
-                e.node,
-                e.at,
-                &e.ev,
-                telemetry::Provenance {
-                    id: e.tag.event_id(),
-                    cause: e.cause.map(Tag::event_id),
-                },
-            );
-        }
-    }
-
-    /// Run one lock-step window: every region processes its events due
-    /// before `bound` (in parallel when `threads > 1`), then cross-region
-    /// mail is routed and telemetry merged at the barrier. Returns the
-    /// number of heap pops across all regions.
-    fn run_window_all(&mut self, bound: SimTime, budget: usize) -> usize {
-        let n: usize = {
-            let shared = &self.shared;
-            par::run_regions(self.threads, &mut self.regions, |_, r| {
-                r.run_window(shared, bound, budget)
-            })
-            .into_iter()
-            .sum()
-        };
-        let t0 = self.profile.then(std::time::Instant::now);
-        self.route_mail();
-        self.flush_telemetry();
-        if let Some(t0) = t0 {
-            self.prof_windows += 1;
-            self.prof_barrier_nanos += t0.elapsed().as_nanos() as u64;
+            let Some(Reverse(due)) = self.heap.pop() else {
+                break;
+            };
+            debug_assert!(due.time >= self.now, "time went backwards");
+            self.now = due.time;
+            n += 1;
+            let slot = due.slot;
+            // A generation mismatch or empty slot means the event was
+            // cancelled (or the slot recycled after cancellation): skip
+            // without dispatch.
+            if self.events[slot].gen != due.gen || self.events[slot].ev.is_none() {
+                self.counters.record_timer_skipped();
+                if let Some(p) = &mut self.profile {
+                    p.stale_events += 1;
+                }
+                continue;
+            }
+            let cause = self.events[slot].cause;
+            let ev = self.vacate(slot);
+            self.counters.record_dispatch();
+            let t0 = self.profile.as_ref().map(|_| std::time::Instant::now());
+            match ev {
+                Event::Deliver {
+                    node,
+                    iface,
+                    packet,
+                    link,
+                } => {
+                    // In-flight packets to a node that crashed after
+                    // transmit are discarded at its dead NIC.
+                    if !self.node_up[node.0] {
+                        self.counters.record_pkt_dropped_node_down();
+                        continue;
+                    }
+                    let class = PacketClass::classify(&packet);
+                    self.counters.record_rx(link, class, packet.len());
+                    self.dispatch(node, EPOCH_EVENT, Some(cause), |nb, ctx| {
+                        nb.on_packet(ctx, iface, &packet)
+                    });
+                    if let (Some(p), Some(t0)) = (&mut self.profile, t0) {
+                        p.deliver_events += 1;
+                        p.deliver_nanos += t0.elapsed().as_nanos() as u64;
+                    }
+                }
+                Event::Timer { node, token } => {
+                    // Belt-and-braces: crash_node cancels the node's
+                    // timers eagerly, but a script could still arm one
+                    // against a down node via call_node.
+                    if !self.node_up[node.0] {
+                        self.counters.record_timer_cancelled_node_down();
+                        continue;
+                    }
+                    self.counters.record_timer_fired();
+                    self.dispatch(node, EPOCH_EVENT, Some(cause), |nb, ctx| {
+                        ctx.emit(node, || telemetry::Event::TimerFired { token });
+                        nb.on_timer(ctx, token);
+                    });
+                    if let (Some(p), Some(t0)) = (&mut self.profile, t0) {
+                        p.timer_events += 1;
+                        p.timer_nanos += t0.elapsed().as_nanos() as u64;
+                    }
+                }
+            }
         }
         n
     }
 
-    /// Pop and run every script scheduled for exactly tick `t` (they may
-    /// schedule more work, including further scripts at `t`). Returns the
-    /// number of scripts dispatched.
-    fn run_scripts_at(&mut self, t: SimTime) -> usize {
+    /// Run scripts and events due at or before `until`, at most
+    /// `max_events` of them. Scripts at a tick run before the tick's
+    /// events. Returns the number processed (scripts plus heap pops,
+    /// stale skips included).
+    fn run(&mut self, until: SimTime, max_events: usize) -> usize {
+        self.start();
+        let end = SimTime(until.ticks().saturating_add(1));
         let mut n = 0;
-        while self.scripts.peek().map(|s| s.at) == Some(t) {
-            let entry = self.scripts.pop().expect("peeked script vanished");
-            self.world_counters.record_dispatch();
-            // The script's canonical identity: the causal root for the
-            // fault marks it emits and the dispatches it performs.
-            // Scripts execute in (time, seq) order, which is exactly
-            // tag order, so identities ascend like every other tag.
-            self.cur_script = Some(Tag {
-                time: t,
-                epoch: EPOCH_SCRIPT,
-                origin: 0,
-                seq: entry.seq,
-                emit: 0,
-            });
-            (entry.f)(self);
-            self.cur_script = None;
-            n += 1;
-            self.flush_telemetry();
+        while n < max_events {
+            let t_sc = self.scripts.peek().map(|s| s.at);
+            let t_ev = self.heap.peek().map(|Reverse(due)| due.time);
+            let Some(t) = t_ev.into_iter().chain(t_sc).min().filter(|&t| t <= until) else {
+                break;
+            };
+            self.now = t;
+            if t_sc == Some(t) {
+                self.run_script();
+                n += 1;
+            } else {
+                let bound = t_sc.map_or(end, |ts| ts.min(end));
+                match self.run_events(bound, max_events - n) {
+                    // Only events at the very end of time are left.
+                    0 => break,
+                    c => n += c,
+                }
+            }
         }
         n
     }
 
     /// Run until the event queue is empty or simulated time would exceed
     /// `until`. Returns the number of events processed (scripts plus
-    /// region heap pops, stale skips included).
+    /// heap pops, stale skips included).
     pub fn run_until(&mut self, until: SimTime) -> usize {
-        self.start();
-        let mut n = 0;
-        loop {
-            let t_ev = self.min_event_time();
-            let t_sc = self.scripts.peek().map(|s| s.at);
-            let t = match t_ev.into_iter().chain(t_sc).min() {
-                Some(t) => t,
-                None => break,
-            };
-            if t > until {
-                break;
-            }
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            if t_sc == Some(t) {
-                n += self.run_scripts_at(t);
-                continue;
-            }
-            let mut bound = SimTime(until.ticks().saturating_add(1));
-            if let Some(ts) = t_sc {
-                bound = bound.min(ts);
-            }
-            if let Some(l) = self.lookahead {
-                bound = bound.min(SimTime(t.ticks().saturating_add(l.ticks())));
-            }
-            n += self.run_window_all(bound, usize::MAX);
-            self.now = self.now.max(SimTime(bound.ticks().saturating_sub(1)));
-        }
+        let n = self.run(until, usize::MAX);
         // Advance the clock to the requested horizon even if idle.
-        if self.now < until {
-            self.now = until;
-        }
+        self.now = self.now.max(until);
         n
     }
 
     /// Run until the queue drains completely (only sensible when no node
-    /// sets periodic timers), or until `max_events` as a runaway guard
-    /// (per region within a window, exact in the default single-region
-    /// world).
+    /// sets periodic timers), or until `max_events` as a runaway guard.
     pub fn run_to_idle(&mut self, max_events: usize) -> usize {
-        self.start();
-        let mut n = 0;
-        while n < max_events {
-            let t_ev = self.min_event_time();
-            let t_sc = self.scripts.peek().map(|s| s.at);
-            let t = match t_ev.into_iter().chain(t_sc).min() {
-                Some(t) => t,
-                None => break,
-            };
-            self.now = t;
-            if t_sc == Some(t) {
-                let entry = self.scripts.pop().expect("peeked script vanished");
-                self.world_counters.record_dispatch();
-                self.cur_script = Some(Tag {
-                    time: t,
-                    epoch: EPOCH_SCRIPT,
-                    origin: 0,
-                    seq: entry.seq,
-                    emit: 0,
-                });
-                (entry.f)(self);
-                self.cur_script = None;
-                n += 1;
-                self.flush_telemetry();
-            } else {
-                let mut bound = SimTime(u64::MAX);
-                if let Some(ts) = t_sc {
-                    bound = ts;
-                }
-                if let Some(l) = self.lookahead {
-                    bound = bound.min(SimTime(t.ticks().saturating_add(l.ticks())));
-                }
-                let c = self.run_window_all(bound, max_events - n);
-                n += c;
-                if c == 0 {
-                    break;
-                }
-            }
-        }
-        n
+        self.run(SimTime(u64::MAX), max_events)
     }
 }
 
@@ -2635,163 +2206,5 @@ mod tests {
         assert_eq!(w.link(l).loss, 0.0);
         w.set_link_loss(l, 0.75);
         assert_eq!(w.link(l).loss, 0.75);
-    }
-
-    // ---- Partitioned-core tests -------------------------------------
-
-    /// A sink that renders every event to its JSONL form — the same
-    /// bytes `telemetry::JsonlSink` would write, usable as a fingerprint.
-    struct VecSink(Vec<String>);
-
-    impl telemetry::Sink for VecSink {
-        fn event(&mut self, node: u32, at: u64, ev: &telemetry::Event) {
-            self.0.push(ev.to_json(node, at));
-        }
-    }
-
-    /// Build a 4-node line `n0 -1- n1 -5- n2 -1- n3` (the delay-5 middle
-    /// link is the natural cross-region cut), drive cross-link ping-pong
-    /// traffic with loss + adversarial channel + a mid-run crash/restart,
-    /// and return (receptions, timers, telemetry JSONL, counter totals).
-    #[allow(clippy::type_complexity)]
-    fn partitioned_fixture(
-        partition: Option<&[u32]>,
-        threads: Option<usize>,
-    ) -> (Vec<Vec<(u64, IfaceId, Vec<u8>)>>, Vec<String>, Vec<u64>) {
-        let mut w = World::new(42);
-        let nodes: Vec<NodeIdx> = (0..4).map(|_| w.add_node(Box::new(Echo::new()))).collect();
-        w.add_p2p(nodes[0], nodes[1], Duration(1));
-        let (mid, _, _) = w.add_p2p(nodes[1], nodes[2], Duration(5));
-        w.add_p2p(nodes[2], nodes[3], Duration(1));
-        if let Some(p) = partition {
-            w.set_partition(p);
-        }
-        if let Some(t) = threads {
-            w.parallelize(t);
-        }
-        w.set_link_loss(mid, 0.2);
-        w.set_channel_model(
-            mid,
-            ChannelModel {
-                corrupt_pm: 200,
-                duplicate_pm: 200,
-                reorder_pm: 200,
-                jitter: 7,
-            },
-        );
-        // Capacity on the cross-region link, with priority off so the
-        // Echo traffic (raw bytes classify as Control) actually queues:
-        // per-direction queue state must be partition-invariant too.
-        w.set_link_capacity(
-            mid,
-            LinkCapacity {
-                bytes_per_tick: 2,
-                queue_bytes: 24,
-                ecn_bytes: 12,
-                ctrl_priority: false,
-            },
-        );
-        let sink = Arc::new(Mutex::new(VecSink(Vec::new())));
-        w.set_telemetry(sink.clone() as telemetry::SharedSink);
-        let (n1, n2) = (nodes[1], nodes[2]);
-        for t in 0..30u64 {
-            w.at(SimTime(t * 4), move |w| {
-                // n1's iface 1 faces the cross-region link to n2.
-                w.call_node(n1, |_n, ctx| ctx.send(IfaceId(1), vec![4, t as u8]));
-            });
-        }
-        w.at(SimTime(35), move |w| w.crash_node(n2));
-        w.at(SimTime(60), move |w| w.restart_node(n2));
-        w.run_until(SimTime(600));
-        let receptions = nodes
-            .iter()
-            .map(|&n| w.node::<Echo>(n).received.clone())
-            .collect();
-        let jsonl = sink.lock().unwrap().0.clone();
-        let c = w.counters();
-        let totals = vec![
-            c.events_dispatched(),
-            c.rx_pkts(),
-            c.losses(),
-            c.pkts_corrupted(),
-            c.pkts_duplicated(),
-            c.pkts_reordered(),
-            c.pkts_dropped_node_down(),
-            c.timers_fired(),
-            c.timers_cancelled_node_down(),
-            c.queue_drops_data(),
-            c.queue_drops_ctrl(),
-            c.ecn_marks(),
-            c.peak_queue_bytes(),
-        ];
-        (receptions, jsonl, totals)
-    }
-
-    /// The tentpole contract: any region assignment produces byte-identical
-    /// receptions, telemetry, and merged counters — including under
-    /// impairments and a mid-run crash/restart.
-    #[test]
-    fn partitioned_run_is_byte_identical_to_single_region() {
-        let single = partitioned_fixture(None, None);
-        let split = partitioned_fixture(Some(&[0, 0, 1, 1]), None);
-        assert_eq!(single.0, split.0, "receptions diverged");
-        assert_eq!(single.1, split.1, "telemetry fingerprint diverged");
-        assert_eq!(single.2, split.2, "merged counters diverged");
-        // A deliberately bad partition (cutting the delay-1 links too)
-        // must still agree — correctness never depends on the partition.
-        let scattered = partitioned_fixture(Some(&[0, 1, 2, 3]), None);
-        assert_eq!(single.0, scattered.0);
-        assert_eq!(single.1, scattered.1);
-        assert_eq!(single.2, scattered.2);
-    }
-
-    /// `parallelize(n)` (auto-partition + scoped threads) is also
-    /// byte-identical, and the auto-partitioner cuts at the delay-5 link.
-    #[test]
-    fn parallelize_auto_partitions_and_matches_single_region() {
-        let single = partitioned_fixture(None, None);
-        for threads in [2, 4] {
-            let par = partitioned_fixture(None, Some(threads));
-            assert_eq!(single.0, par.0, "threads={threads}: receptions diverged");
-            assert_eq!(single.1, par.1, "threads={threads}: telemetry diverged");
-            assert_eq!(single.2, par.2, "threads={threads}: counters diverged");
-        }
-        // Region-count sanity: the fixture topology splits on the
-        // delay-5 middle link into exactly two delay-1 islands.
-        let mut w = World::new(7);
-        let nodes: Vec<NodeIdx> = (0..4).map(|_| w.add_node(Box::new(Echo::new()))).collect();
-        w.add_p2p(nodes[0], nodes[1], Duration(1));
-        w.add_p2p(nodes[1], nodes[2], Duration(5));
-        w.add_p2p(nodes[2], nodes[3], Duration(1));
-        w.parallelize(4);
-        assert_eq!(w.region_count(), 2);
-        assert_eq!(w.cross_region_lookahead(), Some(Duration(5)));
-    }
-
-    /// Captures merge across shards in canonical transmit order.
-    #[test]
-    fn capture_is_partition_independent() {
-        let run = |partition: Option<&[u32]>| {
-            let mut w = World::new(9);
-            let a = w.add_node(Box::new(Echo::new()));
-            let b = w.add_node(Box::new(Echo::new()));
-            w.add_p2p(a, b, Duration(2));
-            if let Some(p) = partition {
-                w.set_partition(p);
-            }
-            w.enable_capture(16);
-            w.at(SimTime(0), move |w| {
-                w.call_node(a, |_n, ctx| ctx.send(IfaceId(0), vec![6]));
-            });
-            w.run_until(SimTime(100));
-            w.captured()
-                .iter()
-                .map(|r| format!("{} {:?} {:?} {}", r.at.ticks(), r.link, r.from, r.summary))
-                .collect::<Vec<_>>()
-        };
-        let single = run(None);
-        let split = run(Some(&[0, 1]));
-        assert!(!single.is_empty());
-        assert_eq!(single, split);
     }
 }

@@ -1,5 +1,6 @@
-//! Repro check: is captured() truncation really partition-independent
-//! when the number of transmissions exceeds the capture limit?
+//! Repro check: when transmissions exceed the capture limit, does
+//! captured() keep the canonically first ones, whatever order the
+//! world ran them in?
 
 use netsim::{Ctx, Duration, IfaceId, Node, NodeIdx, SimTime, World};
 use std::any::Any;
@@ -20,16 +21,13 @@ impl Node for Echo {
     }
 }
 
-fn run(partition: Option<&[u32]>) -> Vec<String> {
+fn run() -> Vec<String> {
     let mut w = World::new(1);
     // nodes: 0=A, 1=B, 2=C, 3=D
     let n: Vec<NodeIdx> = (0..4).map(|_| w.add_node(Box::new(Echo))).collect();
     // A-D and C-B, both delay 2: deliveries to D and B land at the same tick.
     w.add_p2p(n[0], n[3], Duration(2));
     w.add_p2p(n[2], n[1], Duration(2));
-    if let Some(p) = partition {
-        w.set_partition(p);
-    }
     w.enable_capture(3);
     let (a, c) = (n[0], n[2]);
     w.at(SimTime(0), move |w| {
@@ -45,8 +43,11 @@ fn run(partition: Option<&[u32]>) -> Vec<String> {
 
 #[test]
 fn capture_truncation_partition_independence() {
-    let single = run(None);
-    // D (node 3) alone in one region, everyone else in the other.
-    let split = run(Some(&[0, 0, 0, 1]));
-    assert_eq!(single, split, "captured() diverged across partitions");
+    // The script's two sends at t0, then — of the two echoes at t2 —
+    // B's (node 1), whose dispatch tag sorts before D's (node 3).
+    assert_eq!(
+        run(),
+        ["0 LinkId(0) N0", "0 LinkId(1) N2", "2 LinkId(1) N1"],
+        "captured() kept the wrong records"
+    );
 }

@@ -18,6 +18,10 @@
 //! Threads come from [`std::thread::scope`] — no work-stealing runtime,
 //! no extra dependencies; trials are striped across workers so a slow
 //! region of the trial space (e.g. high-degree graphs) spreads evenly.
+//!
+//! This is the workspace's only parallelism. One simulated world runs
+//! on one event heap on one thread; cores pay off across independent
+//! trials, the way a campaign or a Monte-Carlo sweep is structured.
 
 #![warn(missing_docs)]
 
@@ -82,64 +86,6 @@ where
         .collect()
 }
 
-/// Run `f` once over every item of `items` (mutably, in place) across
-/// `threads` scoped threads and return the per-item results **in item
-/// order** — the region executor behind `netsim`'s partitioned world.
-///
-/// Item `i` is processed by worker `i % threads` (striping, like
-/// [`run_trials`]); `threads == 1` runs inline with no thread machinery.
-/// Each item is visited by exactly one worker per call, so `f` gets an
-/// exclusive `&mut` without locks. Determinism is the *caller's* half of
-/// the contract: `f(i, item)` must depend only on `i` and `item` (the
-/// partitioned world guarantees this by giving every region its own
-/// event heap, RNG streams, and counter shard).
-///
-/// # Panics
-/// Propagates a panic from any item.
-pub fn run_regions<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    // Stripe the exclusive borrows across workers up front; each worker
-    // owns its stripe of `&mut T` for the whole call.
-    let mut stripes: Vec<Vec<(usize, &mut T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        stripes[i % threads].push((i, item));
-    }
-    let f = &f;
-    let done: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = stripes
-            .into_iter()
-            .map(|stripe| {
-                s.spawn(move || {
-                    stripe
-                        .into_iter()
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("region worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in done.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("stripe underrun"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,26 +112,6 @@ mod tests {
             let got = run_trials(threads, 97, |i| mix(1, 0, i as u64));
             assert_eq!(got, reference, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn run_regions_mutates_in_place_and_orders_results() {
-        for threads in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..13).collect();
-            let got = run_regions(threads, &mut items, |i, item| {
-                *item += 100;
-                (i as u64) * 2
-            });
-            assert_eq!(
-                items,
-                (100..113u64).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert_eq!(got, (0..13).map(|i| i * 2).collect::<Vec<u64>>());
-        }
-        let mut empty: Vec<u8> = Vec::new();
-        let got: Vec<u8> = run_regions(4, &mut empty, |_, _| unreachable!());
-        assert!(got.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! backbone + stub-domain topology with aggregate member populations.
 //!
 //! ```text
-//! hier_smoke [--domains N] [--population N] [--threads N] [--seed N]
+//! hier_smoke [--domains N] [--population N] [--seed N]
 //! ```
 //!
 //! Builds one hierarchical internetwork (Waxman backbone, stub domains of
@@ -42,14 +42,13 @@ const PROBE_GAP: u64 = 25;
 const CHECK_AT: u64 = 1600;
 
 fn usage() -> ! {
-    eprintln!("usage: hier_smoke [--domains N] [--population N] [--threads N] [--seed N]");
+    eprintln!("usage: hier_smoke [--domains N] [--population N] [--seed N]");
     std::process::exit(2);
 }
 
 fn main() {
     let mut domains = 50usize;
     let mut population = 200u64;
-    let mut threads = 1usize;
     let mut seed = 11u64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -62,7 +61,6 @@ fn main() {
         match a.as_str() {
             "--domains" => domains = num("--domains") as usize,
             "--population" => population = num("--population"),
-            "--threads" => threads = num("--threads") as usize,
             "--seed" => seed = num("--seed"),
             _ => usage(),
         }
@@ -79,7 +77,6 @@ fn main() {
     };
     let mut rng = StdRng::seed_from_u64(par::mix(seed, 8, domains as u64));
     let h = hierarchical(&params, &mut rng);
-    let hints = h.region_hints(threads);
 
     // One aggregate site per domain, at the leaf router.
     let host_routers: Vec<_> = (0..h.domains).map(|d| h.leaf(d)).collect();
@@ -87,7 +84,7 @@ fn main() {
     let total_members: u64 = populations.iter().sum();
     let group = Group::test(1);
     println!(
-        "hier_smoke routers={} domains={} members={} threads={threads}",
+        "hier_smoke routers={} domains={} members={}",
         h.node_count(),
         h.domains,
         total_members,
@@ -105,21 +102,11 @@ fn main() {
             &populations,
             par::mix(seed, 9, proto as u64),
         );
-        // Hosts inherit their attachment router's region, exactly like
-        // the bench harness, so the partition follows domain boundaries.
-        let mut full_hints = hints.clone();
-        for &n in &host_routers {
-            full_hints.push(hints[n.index()]);
-        }
         for slot in 0..host_routers.len() {
             net.join_at(slot, 20 + slot as u64);
         }
         net.send_at(0, 100, TRAIN, 40);
         net.send_at(0, PROBE_START, PROBES, PROBE_GAP);
-        net.world.parallelize(threads);
-        if threads > 1 {
-            net.world.set_partition(&full_hints);
-        }
         net.world.run_until(SimTime(CHECK_AT));
 
         let members: Vec<u32> = (1..host_routers.len() as u32).collect();

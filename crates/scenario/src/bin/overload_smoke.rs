@@ -2,7 +2,7 @@
 //! model run against all three protocols under the full oracle battery.
 //!
 //! ```text
-//! overload_smoke [--threads N] [--seed N]
+//! overload_smoke [--seed N]
 //! ```
 //!
 //! Two workloads on the diamond topology, each with the r1-r2 link
@@ -25,8 +25,9 @@
 //! on any violation.
 //!
 //! The printed counters are part of the deterministic contract:
-//! `scripts/check.sh` diffs this output at `--threads 1` vs `4`, so
-//! queue drops, ECN marks, and peak depth must be thread-invariant.
+//! `scripts/check.sh` compares this output byte for byte against a
+//! committed golden, so queue drops, ECN marks, and peak depth must not
+//! drift.
 
 use netsim::{host_addr, SimTime};
 use scenario::{
@@ -53,7 +54,7 @@ const CHECK_AT: u64 = 3000;
 const CAPPED_LINK: usize = 1;
 
 fn usage() -> ! {
-    eprintln!("usage: overload_smoke [--threads N] [--seed N]");
+    eprintln!("usage: overload_smoke [--seed N]");
     std::process::exit(2);
 }
 
@@ -104,7 +105,6 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn main() {
-    let mut threads = 1usize;
     let mut seed = 7u64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -115,14 +115,13 @@ fn main() {
             })
         };
         match a.as_str() {
-            "--threads" => threads = num("--threads") as usize,
             "--seed" => seed = num("--seed"),
             _ => usage(),
         }
     }
 
     let topo = topology("diamond").expect("diamond topology");
-    println!("overload_smoke topology={} threads={threads}", topo.name);
+    println!("overload_smoke topology={}", topo.name);
 
     let mut failed = false;
     for w in workloads() {
@@ -141,7 +140,6 @@ fn main() {
             (w.traffic)(&mut net);
             let metrics = Arc::new(Mutex::new(MetricsAggregator::new()));
             net.attach_telemetry(metrics.clone());
-            net.world.parallelize(threads);
             net.world.run_until(SimTime(CHECK_AT));
 
             let members: Vec<u32> = (1..topo.host_routers.len() as u32).collect();
@@ -172,7 +170,7 @@ fn main() {
             }
 
             // Queue-depth distribution over the run's power-of-two peak
-            // samples (deterministic, so part of the 1t-vs-4t diff).
+            // samples (deterministic, so part of the golden diff).
             let (qd50, qd99) = {
                 let mut m = metrics.lock().unwrap();
                 m.finish();

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! trace [TOPOLOGY] [PROTOCOL] [SEED] [--jsonl]
-//! trace why ARTIFACT [--threads N]
+//! trace why ARTIFACT
 //! ```
 //!
 //! Defaults: `diamond pim 0`. The run is the explorer's standard
@@ -22,13 +22,16 @@
 //! router (or, on a passing pin, for the last entry-flag transition of
 //! the run), the attributed critical path behind each member's first
 //! delivery, each injected fault's blast radius, and the causal-index
-//! fingerprint. The output contains no thread count: it is byte-
-//! identical at any `--threads`, which check.sh asserts on the corpus.
+//! fingerprint. check.sh compares the output on every corpus pin byte
+//! for byte against a committed golden.
+//!
+//! Bad arguments, or an artifact that cannot be read or parsed, print
+//! the error and the usage to stderr and exit 2; `--help` exits 0.
 
 use netsim::{NodeIdx, SimTime};
 use scenario::{
-    build_net, random_schedule, run_case_threads, slice_lines, topologies, topology, Artifact,
-    Protocol, Substrate,
+    build_net, random_schedule, run_case, slice_lines, topologies, topology, Artifact, Protocol,
+    Substrate,
 };
 use std::sync::{Arc, Mutex};
 use telemetry::{Event, Fanout, JsonlSink, MetricsAggregator, Sink, Ticks};
@@ -52,36 +55,27 @@ impl Sink for Lines {
     }
 }
 
-/// `trace why ARTIFACT [--threads N]`: replay the artifact and print
-/// the causal explanation. The output never mentions the thread count —
-/// it must be byte-identical at any `--threads`.
+const USAGE: &str =
+    "usage: trace [TOPOLOGY] [PROTOCOL] [SEED] [--jsonl]\n       trace why ARTIFACT";
+
+/// Print `msg` and the usage to stderr and exit 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// `trace why ARTIFACT`: replay the artifact and print the causal
+/// explanation.
 fn why(args: &[String]) {
-    let mut threads = 1usize;
-    let mut path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            threads = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads needs a number");
-        } else {
-            assert!(path.is_none(), "unexpected argument {a:?}");
-            path = Some(a.clone());
-        }
-    }
-    let path = path.expect("usage: trace why ARTIFACT [--threads N]");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let artifact = Artifact::from_text(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    let [path] = args else {
+        fail("trace why takes exactly one ARTIFACT")
+    };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
+    let artifact =
+        Artifact::from_text(&text).unwrap_or_else(|e| fail(&format!("parse {path}: {e}")));
     let topo = topology(&artifact.topology)
-        .unwrap_or_else(|| panic!("unknown topology {:?}", artifact.topology));
-    let outcome = run_case_threads(
-        &topo,
-        artifact.protocol,
-        &artifact.schedule,
-        artifact.seed,
-        threads,
-    );
+        .unwrap_or_else(|| fail(&format!("unknown topology {:?}", artifact.topology)));
+    let outcome = run_case(&topo, artifact.protocol, &artifact.schedule, artifact.seed);
     let causal = &outcome.causal;
 
     println!(
@@ -165,6 +159,10 @@ fn main() {
     let mut jsonl_mode = false;
     let mut pos = Vec::new();
     for a in std::env::args().skip(1) {
+        if a == "--help" || a == "-h" {
+            println!("{USAGE}");
+            return;
+        }
         if a == "--jsonl" {
             jsonl_mode = true;
         } else {
@@ -179,15 +177,20 @@ fn main() {
     let proto_name = pos.get(1).map(String::as_str).unwrap_or("pim");
     let seed: u64 = pos
         .get(2)
-        .map(|s| s.parse().expect("SEED must be a number"))
+        .map(|s| s.parse().unwrap_or_else(|_| fail("SEED must be a number")))
         .unwrap_or(0);
 
     let topo = topology(topo_name).unwrap_or_else(|| {
         let names: Vec<_> = topologies().iter().map(|t| t.name).collect();
-        panic!("unknown topology {topo_name:?}; pick one of {names:?}")
+        fail(&format!(
+            "unknown topology {topo_name:?}; pick one of {names:?}"
+        ))
     });
-    let protocol = Protocol::from_name(proto_name)
-        .unwrap_or_else(|| panic!("unknown protocol {proto_name:?}; pim, dvmrp, or cbt"));
+    let protocol = Protocol::from_name(proto_name).unwrap_or_else(|| {
+        fail(&format!(
+            "unknown protocol {proto_name:?}; pim, dvmrp, or cbt"
+        ))
+    });
 
     let group = Group::test(1);
     let mut net = build_net(

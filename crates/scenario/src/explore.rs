@@ -355,43 +355,27 @@ pub fn run_case(
     schedule: &FaultSchedule,
     seed: u64,
 ) -> CaseOutcome {
-    run_case_threads(topo, protocol, schedule, seed, 1)
+    run_case_coverage(topo, protocol, schedule, seed).0
 }
 
-/// [`run_case`] on a region-partitioned world advanced by `threads`
-/// workers. The replay-artifact contract extends across this knob: every
-/// thread count (including 1) produces byte-identical traces, telemetry,
-/// and fingerprints, so campaigns can be parallelized without forking
-/// their artifacts.
-pub fn run_case_threads(
-    topo: &TopoSpec,
-    protocol: Protocol,
-    schedule: &FaultSchedule,
-    seed: u64,
-    threads: usize,
-) -> CaseOutcome {
-    run_case_coverage(topo, protocol, schedule, seed, threads).0
-}
-
-/// [`run_case_threads`] with a [`telemetry::CoverageSink`] attached:
-/// returns the outcome plus the coverage map folded from the run's
-/// event stream — the feedback signal for coverage-guided search. The
-/// sink observes only, so the outcome (trace, telemetry bytes,
-/// fingerprints) is identical to an uninstrumented run; and because the
-/// event stream is byte-identical at any `--threads`, so is the
-/// coverage map (`scenario/tests/coverage.rs` pins this).
+/// [`run_case`] with a [`telemetry::CoverageSink`] attached: returns
+/// the outcome plus the coverage map folded from the run's event stream
+/// — the feedback signal for coverage-guided search. The sink observes
+/// only, so the outcome (trace, telemetry bytes, fingerprints) is
+/// identical to an uninstrumented run, and the map is as deterministic
+/// as the event stream it folds (`scenario/tests/coverage.rs` pins
+/// this).
 pub fn run_case_coverage(
     topo: &TopoSpec,
     protocol: Protocol,
     schedule: &FaultSchedule,
     seed: u64,
-    threads: usize,
 ) -> (CaseOutcome, CoverageMap) {
     let coverage = Arc::new(Mutex::new(CoverageSink::new(
         Protocol::ALL.iter().position(|p| *p == protocol).unwrap() as u64,
     )));
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_case_inner(topo, protocol, schedule, seed, threads, coverage.clone())
+        run_case_inner(topo, protocol, schedule, seed, coverage.clone())
     })) {
         Ok(outcome) => {
             let map = coverage.lock().unwrap().map().clone();
@@ -445,7 +429,6 @@ fn run_case_inner(
     protocol: Protocol,
     schedule: &FaultSchedule,
     seed: u64,
-    threads: usize,
     coverage: Arc<Mutex<CoverageSink>>,
 ) -> CaseOutcome {
     let group = Group::test(1);
@@ -482,7 +465,6 @@ fn run_case_inner(
     net.send_at(0, 100, TRAIN, 40);
     net.send_at(0, PROBE_START, PROBES, PROBE_GAP);
 
-    net.world.parallelize(threads);
     net.world.run_until(SimTime(CHECK_AT));
 
     let members = schedule.final_members(topo.host_routers.len());

@@ -48,8 +48,7 @@ pub mod shrink;
 
 pub use explore::{
     explore_seed, load_corpus, random_schedule, replay, replay_corpus, run_case, run_case_coverage,
-    run_case_threads, slice_lines, topologies, topology, verify_replay, Artifact, CaseOutcome,
-    NodeDump, TopoSpec,
+    slice_lines, topologies, topology, verify_replay, Artifact, CaseOutcome, NodeDump, TopoSpec,
 };
 pub use fuzz::{
     corpus, fuzz_engine, fuzz_engines, fuzz_wire, mutate, EngineFuzzOutcome, SeedStream,

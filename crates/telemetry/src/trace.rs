@@ -19,9 +19,9 @@
 //! * [`CausalIndex::critical_path`] — the hop/timer chain that carried
 //!   a member's first data delivery, with per-hop latency attribution.
 //!
-//! Everything here is keyed by the partition-independent [`EventId`],
-//! so every rendered slice is byte-identical at any `--threads` — a
-//! property CI asserts on the committed regression corpus.
+//! Everything here is keyed by the deterministic [`EventId`], so every
+//! rendered slice is byte-identical from run to run — a property CI
+//! asserts against committed goldens on the regression corpus.
 
 use std::collections::BTreeMap;
 
@@ -57,8 +57,8 @@ pub struct Dispatch {
 /// DAG over dispatches. See the module docs for the three queries.
 ///
 /// Like every sink, the index observes and never participates: it is
-/// fed from the same deterministic flush the JSONL stream is, so its
-/// contents — and every rendered slice — are partition-independent.
+/// fed from the same deterministic stream the JSONL sink is, so its
+/// contents — and every rendered slice — are reproducible.
 #[derive(Clone, Debug, Default)]
 pub struct CausalIndex {
     dispatches: BTreeMap<EventId, Dispatch>,
@@ -155,8 +155,7 @@ impl CausalIndex {
 
     /// The rendered backward slice of `id`, root first: one header per
     /// hop (`#depth [id] who`) followed by the events that hop emitted,
-    /// indented. Byte-stable: asserted identical across `--threads` and
-    /// partitionings.
+    /// indented. Byte-stable: pinned by the `trace why` goldens.
     pub fn backward_slice(&self, id: EventId) -> Vec<String> {
         let chain = self.backward_chain(id);
         let mut out = Vec::new();
@@ -293,7 +292,7 @@ impl CausalIndex {
     }
 
     /// Stable FNV-1a digest over the full canonical dump — the
-    /// causal-index fingerprint CI diffs at `--threads 1` vs `4`.
+    /// causal-index fingerprint `trace why` prints.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for line in self.dump() {
